@@ -20,6 +20,7 @@ from .classify import (equivalent, invariants, normal_shape, random_form,
 from .flagbilinear import (admissible_grids, brute_force_orbit_partition,
                            flagged_from_dims, grid_fibers, invariants_nqt)
 from .forms import cohomology_basis, cohomology_dims, render_form
+from .gfp import check_prime
 from .jsonio import (FormatError, form_from_json, form_to_json,
                      invariants_to_json)
 
@@ -117,6 +118,10 @@ def cmd_flag_invariants(args) -> int:
     if not isinstance(p, int) or not isinstance(dims, list) \
             or not isinstance(mat, list):
         raise FormatError("<root>", "need p, flag_dims, matrix")
+    try:
+        check_prime(p)
+    except ValueError as ex:
+        raise FormatError("p", str(ex))
     fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64))
     grid = invariants_nqt(fb)
     _emit({"p": p, "flag_dims": dims, "grid": grid.tolist()})

@@ -29,6 +29,7 @@ class FlaggedBilinear:
 
     def __post_init__(self):
         p = self.p
+        gfp.check_prime(p)
         object.__setattr__(self, "b", modp(self.b, p))
         object.__setattr__(self, "flag",
                            tuple(row_space(np.asarray(S, dtype=np.int64), p)
@@ -71,7 +72,7 @@ def flagged_from_dims(p: int, dims, b) -> FlaggedBilinear:
 
 
 def _orth_chain(fb: FlaggedBilinear) -> list[np.ndarray]:
-    return [orthogonal_subspace(fb.b, S, fb.p, side="right") for S in fb.flag]
+    return [orthogonal_subspace(fb.b, S, fb.p) for S in fb.flag]
 
 
 def _w_spaces(fb: FlaggedBilinear):
@@ -391,9 +392,7 @@ def invariants_contact_pair(p: int, flag: tuple, f, b) -> AugmentedInvariant:
     sub_flag = []
     for S in flag:
         inter = subspace_intersection(S, Q, p)
-        coords = np.array([gfp.solve_rows(Q, v, p) for v in inter],
-                          dtype=np.int64).reshape(inter.shape[0], Q.shape[0])
-        sub_flag.append(row_space(coords, p))
+        sub_flag.append(row_space(gfp.solve_rows(Q, inter, p), p))
     fbq = FlaggedBilinear(p, tuple(sub_flag), bq)
     return AugmentedInvariant.make(k, invariants_nqt(fbq))
 

@@ -5,15 +5,25 @@ so equal subspaces are equal arrays.  Maps use the column convention: a matrix
 A of shape (m, n) sends a column vector v in F_p^n to A @ v in F_p^m; a
 pairing b: V x U -> K is a matrix of shape (dim V, dim U) with
 b(v, u) = v^T b u.
+
+Every row reduction (rref, rank, nullspace, solves, inverse, determinant,
+quotient projections) goes through one elimination core that works on lists
+of Python-int rows.  Matrices with at most SMALL_ENTRIES entries (m*n <= 256,
+the 16x16 and smaller systems of the classification pipeline) are reduced in
+plain Python (`_reduce`), which beats numpy's per-call overhead at that size;
+`_eliminate` hands larger ones (the dense systems of contact splitting) to
+numpy row operations.  numpy arrays appear only at the public functions:
+each converts its input to rows once and its result back once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+SMALL_ENTRIES = 256
 
 # Flag labels beyond the finite range; INF sorts after every integer and INF1
 # after INF.  All six flag shapes share one representation (see FlagChain).
@@ -50,13 +60,75 @@ def inv_scalar(a: int, p: int) -> int:
     return _inverse_table(p)[a]
 
 
-def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (R, pivot columns)."""
-    A = modp(np.atleast_2d(A), p)
-    m, n = A.shape
-    if m * n <= 256:
-        return _rref_small(A, p, m, n)
+# ---------------------------------------------------------------------------
+# The elimination core.  Rows are lists of Python ints in [0, p).
+# ---------------------------------------------------------------------------
+
+def _rows(A, p: int) -> tuple[list, int]:
+    """(rows, number of columns) of a matrix; a vector is one row."""
+    A = np.asarray(A, dtype=np.int64) % p
+    if A.ndim == 1:
+        return [A.tolist()], A.shape[0]
+    return A.tolist(), A.shape[1]
+
+
+def _matrix(rows, n: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def _reduce(rows: list, n: int, p: int) -> tuple[list[int], int]:
+    """Reduce rows to rref in place, in plain Python.
+
+    The pivot of a column is the first row, at or below the current one,
+    with a nonzero entry there.  Returns the pivot columns and the product
+    of the pivot values, negated once per row swap: the determinant, for a
+    square nonsingular matrix.
+    """
+    inv = _inverse_table(p)
+    m = len(rows)
+    pivots: list[int] = []
+    scale = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        base = rows[i]
+        if i != r:
+            rows[i] = rows[r]
+            scale = -scale
+        a = base[c]
+        if a != 1:
+            scale = scale * a % p
+            a = inv[a]
+            base = [x * a % p for x in base]
+        rows[r] = base
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, base)]
+        pivots.append(c)
+        r += 1
+    return pivots, scale % p
+
+
+def _eliminate(rows: list, n: int, p: int) -> list[int]:
+    """rref of rows in place; returns the pivot columns."""
+    if len(rows) * n > SMALL_ENTRIES:
+        R, pivots = _rref_large(_matrix(rows, n), p)
+        rows[:] = R.tolist()
+        return pivots
+    return _reduce(rows, n, p)[0]
+
+
+def _rref_large(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The same elimination by numpy row operations, for large matrices."""
     A = A.copy()
+    m, n = A.shape
     r = 0
     pivots: list[int] = []
     for c in range(n):
@@ -79,48 +151,41 @@ def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
     return A, pivots
 
 
-def _rref_small(A, p: int, m: int, n: int) -> tuple[np.ndarray, list[int]]:
-    """Pure-python elimination; faster than numpy under ~16x16."""
-    rows = [list(map(int, row)) for row in A]
-    r = 0
-    pivots: list[int] = []
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        inv = inv_scalar(rows[r][c], p)
-        if inv != 1:
-            rows[r] = [(x * inv) % p for x in rows[r]]
-        base = rows[r]
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], base)]
-        pivots.append(c)
-        r += 1
-    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+def _solve(A: list, rhs: list, n: int, p: int) -> list | None:
+    """For each vector b of rhs the solution x of A @ x = b whose free
+    coordinates are zero, all from one elimination; None if any b is
+    inconsistent.  A is given by its rows (n columns)."""
+    aug = [row + [b[i] for b in rhs] for i, row in enumerate(A)]
+    pivots = _eliminate(aug, n + len(rhs), p)
+    if pivots and pivots[-1] >= n:
+        return None
+    sols = [[0] * n for _ in rhs]
+    for row, c in zip(aug, pivots):
+        for x, val in zip(sols, row[n:]):
+            x[c] = val
+    return sols
+
+
+# ---------------------------------------------------------------------------
+# Matrices.
+# ---------------------------------------------------------------------------
+
+def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p; returns (R, pivot columns)."""
+    rows, n = _rows(A, p)
+    pivots = _eliminate(rows, n, p)
+    return _matrix(rows, n), pivots
 
 
 def row_space(A, p: int) -> np.ndarray:
     """Canonical basis (rref with zero rows dropped) of the row space."""
-    if A.shape[0] == 0:
-        return modp(A, p)
     R, pivots = rref(A, p)
     return R[: len(pivots)]
 
 
 def rank(A, p: int) -> int:
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        return 0
-    return len(rref(A, p)[1])
+    rows, n = _rows(A, p)
+    return len(_eliminate(rows, n, p))
 
 
 def empty_space(n: int) -> np.ndarray:
@@ -133,56 +198,46 @@ def full_space(n: int) -> np.ndarray:
 
 def nullspace(A, p: int) -> np.ndarray:
     """Row basis of {x : A @ x = 0}."""
-    A = modp(np.atleast_2d(A), p)
-    m, n = A.shape
-    if m == 0:
-        return full_space(n)
-    R, pivots = rref(A, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = zeros(len(free), n)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-R[r, c]) % p
-    return row_space(basis, p)
-
-
-def left_nullspace(A, p: int) -> np.ndarray:
-    """Row basis of {x : x @ A = 0}."""
-    return nullspace(modp(A, p).T, p)
+    rows, n = _rows(A, p)
+    pivots = _eliminate(rows, n, p)
+    basis = []
+    for c in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[c] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[c] % p
+        basis.append(v)
+    _eliminate(basis, n, p)
+    return _matrix(basis, n)
 
 
 def solve(A, b, p: int) -> np.ndarray | None:
     """One solution x of A @ x = b, or None if inconsistent."""
-    A = modp(np.atleast_2d(A), p)
-    b = modp(b, p).reshape(-1)
-    m, n = A.shape
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    if n in pivots:
+    rows, n = _rows(A, p)
+    x = _solve(rows, _rows(np.reshape(b, -1), p)[0], n, p)
+    return None if x is None else np.array(x[0], dtype=np.int64)
+
+
+def solve_rows(B, V, p: int) -> np.ndarray | None:
+    """Coefficients c with c @ B = v for each row v of V, from one elimination.
+
+    V may be one vector (the result is then one coefficient vector) or a
+    matrix of rows (one coefficient row each).  None if any v lies outside
+    the row space of B.
+    """
+    cols, k = _rows(np.atleast_2d(B).T, p)        # B^T: c @ B = v is B^T c = v
+    sols = _solve(cols, _rows(V, p)[0], k, p)
+    if sols is None:
         return None
-    x = np.zeros(n, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, n]
-    return x
-
-
-def solve_rows(B, v, p: int) -> np.ndarray | None:
-    """Coefficients c with c @ B = v, or None if v is outside the row space."""
-    B = modp(np.atleast_2d(B), p)
-    if B.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64) if not np.any(modp(v, p)) else None
-    return solve(B.T, v, p)
+    return np.array(sols[0], dtype=np.int64) if np.ndim(V) == 1 else _matrix(sols, k)
 
 
 def inverse(A, p: int) -> np.ndarray:
-    A = modp(A, p)
-    n = A.shape[0]
-    aug = np.concatenate([A, eye(n)], axis=1)
-    R, pivots = rref(aug, p)
-    if pivots != list(range(n)):
+    rows, n = _rows(A, p)
+    sols = _solve(rows, eye(n).tolist(), n, p)
+    if sols is None:
         raise ValueError("matrix is singular mod p")
-    return R[:, n:]
+    return _matrix(sols, n).T.copy()
 
 
 def is_invertible(A, p: int) -> bool:
@@ -192,29 +247,9 @@ def is_invertible(A, p: int) -> bool:
 
 def det(A, p: int) -> int:
     """Determinant over F_p by elimination."""
-    A = modp(A, p).copy()
-    n = A.shape[0]
-    if n == 0:
-        return 1
-    d = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if A[r, c]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            A[[c, piv]] = A[[piv, c]]
-            d = (-d) % p
-        d = (d * int(A[c, c])) % p
-        inv = inv_scalar(int(A[c, c]), p)
-        A[c] = (A[c] * inv) % p
-        for r in range(c + 1, n):
-            if A[r, c]:
-                A[r] = (A[r] - A[r, c] * A[c]) % p
-    return d % p
+    rows, n = _rows(A, p)
+    pivots, scale = _reduce(rows, n, p)
+    return scale if len(pivots) == len(rows) else 0
 
 
 def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
@@ -244,17 +279,12 @@ def subspace_sum(A, B, p: int) -> np.ndarray:
 def subspace_intersection(A, B, p: int) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ValueError("ambient dimension mismatch")
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return empty_space(A.shape[1])
-    # (a | b) in the left kernel of [A; -B] means a@A = b@B.
-    stacked = np.concatenate([A, (-B) % p], axis=0)
-    coeffs = left_nullspace(stacked, p)
-    vecs = modp(coeffs[:, : A.shape[0]] @ A, p)
-    return row_space(vecs, p)
-
-
-def subspace_contains(A, v, p: int) -> bool:
-    return solve_rows(A, v, p) is not None
+    # Zassenhaus: in the rref of [[A, A], [B, 0]] the rows whose left half
+    # is zero carry, in their right half, the rref of the intersection.
+    n = A.shape[1]
+    rows = [a + a for a in _rows(A, p)[0]] + [b + [0] * n for b in _rows(B, p)[0]]
+    pivots = _eliminate(rows, 2 * n, p)
+    return _matrix([row[n:] for row, c in zip(rows, pivots) if c >= n], n)
 
 
 def subspace_eq(A, B) -> bool:
@@ -265,26 +295,21 @@ def subspace_leq(A, B, p: int) -> bool:
     """A subseteq B, both rref."""
     if A.shape[0] == 0:
         return True
-    if A.shape[0] > B.shape[0]:
-        return False
     return rank(np.concatenate([B, A], axis=0), p) == B.shape[0]
 
 
 def map_rows(M, S, p: int) -> np.ndarray:
     """Row basis of the image of the subspace S under v -> M @ v."""
-    if S.shape[0] == 0:
-        return empty_space(M.shape[0])
-    return row_space(modp(S @ modp(M, p).T, p), p)
+    return row_space(S @ modp(M, p).T, p)
 
 
 def preimage_rows(M, S, p: int) -> np.ndarray:
-    """Row basis of {v : M @ v in row space of S}."""
-    n_out, n_in = M.shape
-    comp = quotient_section(S, full_space(n_out), p)
-    if comp.shape[0] == 0:
-        return full_space(n_in)
-    proj = quotient_projection(S, comp, p)
-    return nullspace(modp(proj @ modp(M, p), p), p)
+    """Row basis of {v : M @ v in row space of S}.
+
+    M @ v lies in S exactly when every vector annihilating S (the nullspace
+    of S) annihilates M @ v.
+    """
+    return nullspace(nullspace(S, p) @ modp(M, p), p)
 
 
 def quotient_section(sub, sup, p: int) -> np.ndarray:
@@ -294,53 +319,45 @@ def quotient_section(sub, sup, p: int) -> np.ndarray:
     that add a new pivot; the chosen rows have zero coordinates at all of
     sub's pivot columns, so their span meets `sub` trivially.
     """
-    sub = row_space(sub, p)
-    sup = row_space(sup, p)
-    if sub.shape[0] == 0:
-        return sup
-    rows = [(int(np.nonzero(r)[0][0]), r) for r in sub]
+    sub, n = _rows(sub, p)
+    sup, _ = _rows(sup, p)
+    reducers = list(zip(_eliminate(sub, n, p), sub))
+    del sup[len(_eliminate(sup, n, p)):]
+    inv = _inverse_table(p)
     chosen = []
     for v in sup:
-        v = v.copy()
-        for c, w in rows:
-            if v[c]:
-                v = (v - v[c] * w) % p
-        if np.any(v):
-            c = int(np.nonzero(v)[0][0])
-            v = (v * inv_scalar(int(v[c]), p)) % p
-            rows.append((c, v))
+        for c, w in reducers:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, w)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            a = inv[v[c]]
+            v = [x * a % p for x in v]
+            reducers.append((c, v))
             chosen.append(v)
-    if not chosen:
-        return empty_space(sub.shape[1])
-    return row_space(np.array(chosen, dtype=np.int64), p)
+    _eliminate(chosen, n, p)
+    return _matrix(chosen, n)
 
 
 def quotient_projection(sub, section, p: int) -> np.ndarray:
     """Matrix P with P @ v = section-coordinates of v modulo sub.
 
     Valid on sub + span(section); callers must stay inside that space.
+    Reduces [B | I] for B = [sub; section]: the right half C satisfies
+    C @ B = rref(B), so a vector v of span(B) has B-coordinates
+    v[pivots] @ C.
     """
-    n = sub.shape[1]
+    B, n = _rows(np.concatenate([sub, section], axis=0), p)
+    m = len(B)
     k = section.shape[0]
-    if k == 0:
-        return zeros(0, n)
-    B = np.concatenate([sub, section], axis=0)
-    R, pivots = rref(B, p)
-    C = _transform_to_rref(B, p)
-    coord = zeros(B.shape[0], n)
-    for r, c in enumerate(pivots):
-        coord[r, c] = 1
-    # v = (coord @ v) in R-coordinates; R-coords -> B-coords via C^T.
-    full = modp(C.T @ coord, p)
-    return full[sub.shape[0]:, :]
-
-
-def _transform_to_rref(B, p: int) -> np.ndarray:
-    """C with C @ B = rref(B), for B with independent rows."""
-    m = B.shape[0]
-    aug = np.concatenate([modp(B, p), eye(m)], axis=1)
-    R, _ = rref(aug, p)
-    return R[:, B.shape[1]:]
+    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(B)]
+    pivots = _eliminate(aug, n + m, p)
+    P = [[0] * n for _ in range(k)]
+    for row, c in zip(aug, pivots):
+        for i, val in enumerate(row[n + m - k:]):
+            P[i][c] = val
+    return _matrix(P, n)
 
 
 @dataclass(frozen=True)
@@ -363,12 +380,13 @@ class Factor:
         """Section rows: factor coordinates -> ambient representatives."""
         return self.section
 
+    @cached_property
+    def _projection_t(self) -> np.ndarray:
+        return quotient_projection(self.sub, self.section, self.p).T
+
     def project_vectors(self, vecs: np.ndarray) -> np.ndarray:
         """Factor coordinates of ambient row vectors (must lie in sup)."""
-        if vecs.shape[0] == 0 or self.dim == 0:
-            return zeros(vecs.shape[0], self.dim)
-        P = quotient_projection(self.sub, self.section, self.p)
-        return modp(vecs @ P.T, self.p)
+        return modp(vecs @ self._projection_t, self.p)
 
     def image_of(self, S: np.ndarray) -> np.ndarray:
         """Image of a subspace S: ((S ∩ sup) + sub)/sub, in factor coords."""
@@ -474,54 +492,71 @@ def only_inf_flag(ambient_dim: int, direction: str, p: int) -> FlagChain:
 
 
 # ---------------------------------------------------------------------------
-# Pairings and orthogonals.
+# Pairings, orthogonals and flag transfer.  Transferring a flag F into a
+# factor Φ_k(target) moves every space of F (b-orthogonal, preimage or image)
+# and reads the moved flag in Φ_k.  The moved flag does not depend on the
+# target label, so callers that transfer into several factors move F once.
 # ---------------------------------------------------------------------------
 
-def orthogonal_subspace(b, M, p: int, side: str = "right") -> np.ndarray:
-    """Orthogonal of M under the pairing b: V x U -> K.
-
-    side="right": M ⊆ U, returns {v in V : b(v, M) = 0}.
-    side="left":  M ⊆ V, returns {u in U : b(M, u) = 0}.
-    """
+def orthogonal_subspace(b, M, p: int) -> np.ndarray:
+    """Orthogonal of M ⊆ U under the pairing b: V x U -> K, that is
+    {v in V : b(v, M) = 0}."""
     b = modp(b, p)
-    if side == "right":
-        if M.shape[1] != b.shape[1]:
-            raise ValueError("dimension mismatch")
-        if M.shape[0] == 0:
-            return full_space(b.shape[0])
-        return left_nullspace(modp(b @ M.T, p), p)
-    if side == "left":
-        if M.shape[1] != b.shape[0]:
-            raise ValueError("dimension mismatch")
-        if M.shape[0] == 0:
-            return full_space(b.shape[1])
-        return nullspace(modp(M @ b, p), p)
-    raise ValueError(f"bad side {side!r}")
+    if M.shape[1] != b.shape[1]:
+        raise ValueError("dimension mismatch")
+    return nullspace(M @ b.T, p)
 
 
 def pairing_nondegenerate(b, p: int) -> bool:
-    b = modp(b, p)
-    return b.shape[0] == b.shape[1] and rank(b, p) == b.shape[0]
+    return is_invertible(b, p)
+
+
+def orthogonal_flag(b, F: FlagChain, p: int) -> FlagChain:
+    """The b-orthogonals of the spaces of F (F on the right factor of b).
+
+    The direction flips; the oo+1 entry is forced by the resulting shape
+    (zero for decreasing, everything for increasing).
+    """
+    direction = "dec" if F.direction == "inc" else "inc"
+    n = np.shape(b)[0]
+    fin = tuple(orthogonal_subspace(b, S, p) for S in F.finite)
+    inf = orthogonal_subspace(b, F.inf, p)
+    inf1 = empty_space(n) if direction == "dec" else full_space(n)
+    return FlagChain(n, direction, fin, inf, inf1, p)
+
+
+def moved_flag(mu, F: FlagChain, p: int, mode: str = "preimage") -> FlagChain:
+    """F moved through the isomorphism mu: mode="preimage" takes preimages
+    (F on mu's codomain), mode="image" images (F on mu's domain)."""
+    if mode == "preimage":
+        n, move = mu.shape[1], preimage_rows
+    else:
+        n, move = mu.shape[0], map_rows
+    fin = tuple(move(mu, S, p) for S in F.finite)
+    return FlagChain(n, F.direction, fin, move(mu, F.inf, p),
+                     move(mu, F.inf1, p), p)
+
+
+def restrict_flag(G: FlagChain, target: FlagChain, k) -> FlagChain:
+    """The flag G read in the factor Φ_k(target): each space of G becomes its
+    image in Φ_k; the direction is kept."""
+    fac = target.factor(k)
+    if fac.dim == 0:
+        raise ValueError(f"label {k} names an empty factor")
+    fin = tuple(fac.image_of(S) for S in G.finite)
+    flag = FlagChain(fac.dim, G.direction, fin, fac.image_of(G.inf),
+                     fac.image_of(G.inf1), G.p)
+    flag.check()
+    return flag
 
 
 def transfer_flag_via_pairing(b, F: FlagChain, target: FlagChain, k, p: int) -> FlagChain:
     """Transfer F (living on the right factor of b) into Φ_k(target).
 
     The label-q space of the result is the image in Φ_k(target) of the
-    b-orthogonal of F(q).  The direction flips; the oo+1 entry is forced by
-    the resulting shape (zero for decreasing, everything for increasing).
+    b-orthogonal of F(q) (see orthogonal_flag).
     """
-    fac = target.factor(k)
-    if fac.dim == 0:
-        raise ValueError(f"label {k} names an empty factor")
-    new_dir = "dec" if F.direction == "inc" else "inc"
-    fin = tuple(fac.image_of(orthogonal_subspace(b, F.space(q), p, side="right"))
-                for q in range(len(F.finite)))
-    inf = fac.image_of(orthogonal_subspace(b, F.inf, p, side="right"))
-    inf1 = empty_space(fac.dim) if new_dir == "dec" else full_space(fac.dim)
-    flag = FlagChain(fac.dim, new_dir, fin, inf, inf1, p)
-    flag.check()
-    return flag
+    return restrict_flag(orthogonal_flag(b, F, p), target, k)
 
 
 def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k, p: int,
@@ -532,19 +567,7 @@ def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k, p: int,
     codomain); mode="image" builds (mu F)_{Φ_k target} (F on mu's domain).
     The direction is preserved.
     """
-    fac = target.factor(k)
-    if fac.dim == 0:
-        raise ValueError(f"label {k} names an empty factor")
-
-    def move(S):
-        return preimage_rows(mu, S, p) if mode == "preimage" else map_rows(mu, S, p)
-
-    fin = tuple(fac.image_of(move(F.space(q))) for q in range(len(F.finite)))
-    inf = fac.image_of(move(F.inf))
-    inf1 = fac.image_of(move(F.inf1))
-    flag = FlagChain(fac.dim, F.direction, fin, inf, inf1, p)
-    flag.check()
-    return flag
+    return restrict_flag(moved_flag(mu, F, p, mode), target, k)
 
 
 def induced_pairing(b, flag_V: FlagChain, flag_U: FlagChain, i, j, p: int) -> np.ndarray:
@@ -568,16 +591,16 @@ def induced_pairing(b, flag_V: FlagChain, flag_U: FlagChain, i, j, p: int) -> np
     return out
 
 
-def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, k, l, p: int) -> np.ndarray:
-    """The through map Φ_l((mu^{-1}F_U)_{Φ_k F_V}) -> Φ_k((mu F_V)_{Φ_l F_U}).
+def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
+                dst_flag: FlagChain, k, l, p: int) -> np.ndarray:
+    """The through map Φ_l(src_flag) -> Φ_k(dst_flag), for the transferred
+    flags src_flag = (mu^{-1}F_U)_{Φ_k F_V} and dst_flag = (mu F_V)_{Φ_l F_U}.
 
-    A source class lifts to a representative in mu^{-1}(upper U space) + lower
-    V space; the lower-V part is stripped so the representative genuinely lies
-    in mu^{-1}(upper U space) ∩ (upper V space) before pushing through mu and
-    reading the class in the target factor.
+    A source class lifts to a representative in mu^{-1}(upper U space) +
+    lower V space; the lower-V part is stripped so the representative
+    genuinely lies in mu^{-1}(upper U space) ∩ (upper V space) before
+    pushing through mu and reading the class in the target factor.
     """
-    src_flag = transfer_flag_via_iso(mu, flag_U, flag_V, k, p, mode="preimage")
-    dst_flag = transfer_flag_via_iso(mu, flag_V, flag_U, l, p, mode="image")
     sf = src_flag.factor(l)
     df = dst_flag.factor(k)
     if sf.dim != df.dim:
@@ -586,13 +609,9 @@ def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, k, l, p: int) -> np.nd
     fac_U = flag_U.factor(l)
     lift = modp(sf.lift() @ fac_V.lift(), p)                   # rows in V
     pre = preimage_rows(mu, fac_U.sup, p)                      # mu^{-1}(upper U)
-    stack = np.concatenate([pre, fac_V.sub], axis=0)
-    fixed = []
-    for row in lift:
-        coeffs = solve_rows(stack, row, p)
-        assert coeffs is not None, "representative outside mu^{-1}U + V_sub"
-        fixed.append(modp(coeffs[: pre.shape[0]] @ pre, p))
-    fixed = np.array(fixed, dtype=np.int64).reshape(len(fixed), lift.shape[1])
+    coeffs = solve_rows(np.concatenate([pre, fac_V.sub], axis=0), lift, p)
+    assert coeffs is not None, "representative outside mu^{-1}U + V_sub"
+    fixed = modp(coeffs[:, : pre.shape[0]] @ pre, p)
     moved = modp(fixed @ modp(mu, p).T, p)                     # rows in U-sup
     inner = fac_U.project_vectors(moved)                       # rows in Φ_l F_U
     out_rows = df.project_vectors(inner)
@@ -777,21 +796,6 @@ def companion(f, p: int) -> np.ndarray:
     return C
 
 
-def poly_str(f) -> str:
-    if not ptrim(f):
-        return "0"
-    parts = []
-    for i, c in enumerate(f):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            xs = "x" if i == 1 else f"x^{i}"
-            parts.append(xs if c == 1 else f"{c}*{xs}")
-    return " + ".join(reversed(parts))
-
-
 # ---------------------------------------------------------------------------
 # Rational canonical form (Frobenius form) with an explicit witness.
 # ---------------------------------------------------------------------------
@@ -804,22 +808,16 @@ def krylov_rows(h, v, d: int, p: int) -> np.ndarray:
 
 
 def local_min_poly(h, v, p: int) -> tuple:
-    """Monic minimal polynomial of h on the cyclic subspace generated by v."""
-    n = h.shape[0]
-    v = modp(v, p).reshape(-1)
-    if not np.any(v):
+    """Monic minimal polynomial of h on the cyclic subspace generated by v.
+
+    With the Krylov vectors v, hv, ..., h^n v as columns, the rref has
+    pivots 0..d-1, and its column d expresses h^d v in the earlier ones.
+    """
+    if not np.any(modp(v, p)):
         return (1,)
-    rows = [v]
-    cur = v
-    while True:
-        cur = modp(h @ cur, p)
-        B = np.array(rows, dtype=np.int64)
-        dep = solve_rows(B, cur, p)
-        if dep is not None:
-            coeffs = [(-c) % p for c in dep] + [1]
-            return ptrim(coeffs)
-        rows.append(cur)
-        assert len(rows) <= n + 1
+    R, pivots = rref(krylov_rows(h, v, h.shape[0] + 1, p).T, p)
+    d = len(pivots)
+    return ptrim([(-c) % p for c in R[:d, d]] + [1])
 
 
 def min_poly(h, p: int) -> tuple:

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import gfp
 from .gfp import (INF, FlagChain, companion, empty_space, eye, make_flag,
-                  modp, only_inf_flag, pairing_nondegenerate, pdeg, pfactor,
-                  pmul, ppow, row_space, transfer_flag_via_iso,
-                  transfer_flag_via_pairing, zeros)
+                  modp, moved_flag, only_inf_flag, orthogonal_flag,
+                  pairing_nondegenerate, pdeg, pfactor, pmul, ppow,
+                  restrict_flag, row_space, zeros)
 
 
 def _label_key(q):
@@ -120,6 +120,8 @@ class BState:
     s: dict
     mu: dict                 # rid -> (sid, matrix)
     a_state: AState
+    orth: dict               # ("v", vid) / ("w", wid) -> partner flag's
+                             # orthogonal under the cell's pairing
 
 
 def build_type1_object(p: int, heights, b, c) -> AState:
@@ -164,12 +166,13 @@ def grind_A_to_B(A: AState) -> BState:
     s_cells: dict = {}
     rid_of: dict = {}
     sid_of: dict = {}
+    orth: dict = {}
     for vid in sorted(A.v):
         cell = A.v[vid]
+        O = orth["v", vid] = orthogonal_flag(A.b[vid], A.v[cell.partner].flag, p)
         for q in sorted(cell.flag.factor_labels(), key=_label_key):
             fac = cell.flag.factor(q)
-            K = transfer_flag_via_pairing(A.b[vid], A.v[cell.partner].flag,
-                                          cell.flag, q, p)
+            K = restrict_flag(O, cell.flag, q)
             alpha = cell.alpha if cell.alpha is not None else q + 1
             rid = len(r_cells)
             r_cells[rid] = RCell(fac.dim, alpha, K, vid, q, fac.lift())
@@ -177,14 +180,16 @@ def grind_A_to_B(A: AState) -> BState:
     new_dir = "dec" if A.parity == 0 else "inc"
     for wid in sorted(A.w):
         cell = A.w[wid]
+        if cell.partner is not None:
+            O = orth["w", wid] = orthogonal_flag(A.c[wid],
+                                                 A.w[cell.partner].flag, p)
         for r in sorted(cell.flag.factor_labels(), key=_label_key):
             fac = cell.flag.factor(r)
             if cell.partner is None:
                 L = only_inf_flag(fac.dim, new_dir, p)
                 tagged = True
             else:
-                L = transfer_flag_via_pairing(A.c[wid], A.w[cell.partner].flag,
-                                              cell.flag, r, p)
+                L = restrict_flag(O, cell.flag, r)
                 tagged = False
             sid = len(s_cells)
             s_cells[sid] = SCell(fac.dim, L, wid, r, fac.lift(), tagged)
@@ -193,7 +198,7 @@ def grind_A_to_B(A: AState) -> BState:
     for (vid, q), (wid, r, N) in A.nu.items():
         mu[rid_of[(vid, q)]] = (sid_of[(wid, r)], N)
     assert len(mu) == len(r_cells) == len(s_cells), "nu is not cell-bijective"
-    return BState(p, A.parity, r_cells, s_cells, mu, A)
+    return BState(p, A.parity, r_cells, s_cells, mu, A, orth)
 
 
 def _transfer_source_label(direction: str, t):
@@ -203,26 +208,21 @@ def _transfer_source_label(direction: str, t):
     return (t + 1) if t != INF else gfp.INF1
 
 
-def _corrected_pair_lift(A: AState, pairing, partner_flag: FlagChain,
-                         cell_flag_factor, K: FlagChain, t, lift, p):
+def _corrected_pair_lift(orth: FlagChain, window, K: FlagChain, t, lift, p):
     """Representatives of a transferred-flag factor inside the honest
     intersection orth(partner space) ∩ window, as rows in the parent cell.
 
-    The naive two-level lift lives in that intersection plus the window's
-    sub; the sub part is stripped so induced pairings are read on legitimate
+    `orth` is the partner flag's orthogonal flag that K was read from.  The
+    naive two-level lift lives in that intersection plus the window's sub;
+    the sub part is stripped so induced pairings are read on legitimate
     representatives.
     """
     naive = modp(K.factor(t).lift() @ lift, p)
     src = _transfer_source_label(K.direction, t)
-    O = gfp.orthogonal_subspace(pairing, partner_flag.space(src), p, side="right")
-    S = gfp.subspace_intersection(O, cell_flag_factor.sup, p)
-    stack = np.concatenate([S, cell_flag_factor.sub], axis=0)
-    out = []
-    for row in naive:
-        coeffs = gfp.solve_rows(stack, row, p)
-        assert coeffs is not None, "factor representative escaped orth + sub"
-        out.append(modp(coeffs[: S.shape[0]] @ S, p))
-    return np.array(out, dtype=np.int64).reshape(naive.shape)
+    S = gfp.subspace_intersection(orth.space(src), window.sup, p)
+    coeffs = gfp.solve_rows(np.concatenate([S, window.sub], axis=0), naive, p)
+    assert coeffs is not None, "factor representative escaped orth + sub"
+    return modp(coeffs[:, : S.shape[0]] @ S, p)
 
 
 def grind_B_to_A(B: BState) -> AState:
@@ -241,9 +241,9 @@ def grind_B_to_A(B: BState) -> AState:
     for rid in sorted(B.r):
         rc = B.r[rid]
         sid, N = B.mu[rid]
-        sc = B.s[sid]
+        moved = moved_flag(N, B.s[sid].flag, p, mode="preimage")
         for t in sorted(rc.flag.factor_labels(), key=_label_key):
-            G = transfer_flag_via_iso(N, sc.flag, rc.flag, t, p, mode="preimage")
+            G = restrict_flag(moved, rc.flag, t)
             vid = len(v_cells)
             v_cells[vid] = VCell(rc.flag.factor(t).dim, rc.alpha, G, -1)
             vid_of[(rid, t)] = vid
@@ -251,10 +251,9 @@ def grind_B_to_A(B: BState) -> AState:
     for sid in sorted(B.s):
         sc = B.s[sid]
         rid2 = next(r for r, (s2, _) in B.mu.items() if s2 == sid)
-        N2 = B.mu[rid2][1]
+        moved = moved_flag(B.mu[rid2][1], B.r[rid2].flag, p, mode="image")
         for t in sorted(sc.flag.factor_labels(), key=_label_key):
-            H = transfer_flag_via_iso(N2, B.r[rid2].flag, sc.flag, t, p,
-                                      mode="image")
+            H = restrict_flag(moved, sc.flag, t)
             wid = len(w_cells)
             w_cells[wid] = WCell(sc.flag.factor(t).dim, H, None)
             wid_of[(sid, t)] = wid
@@ -270,11 +269,10 @@ def grind_B_to_A(B: BState) -> AState:
         assert vid2 is not None, "b-partner factor missing"
         v_cells[vid].partner = vid2
         rc2 = B.r[rid2]
-        L1 = _corrected_pair_lift(A, A.b[X], A.v[Xbar].flag,
-                                  A.v[X].flag.factor(q), rc.flag, t, rc.lift, p)
-        L2 = _corrected_pair_lift(A, A.b[Xbar], A.v[X].flag,
-                                  A.v[Xbar].flag.factor(t), rc2.flag, q,
-                                  rc2.lift, p)
+        L1 = _corrected_pair_lift(B.orth["v", X], A.v[X].flag.factor(q),
+                                  rc.flag, t, rc.lift, p)
+        L2 = _corrected_pair_lift(B.orth["v", Xbar], A.v[Xbar].flag.factor(t),
+                                  rc2.flag, q, rc2.lift, p)
         pb = modp(L1 @ A.b[X] @ L2.T, p)
         b_new[vid] = pb
         assert pairing_nondegenerate(pb, p), "new b-pairing degenerate"
@@ -296,11 +294,10 @@ def grind_B_to_A(B: BState) -> AState:
         wid2 = wid_of.get((sid2, r))
         assert wid2 is not None, "partner cell lacks the matching factor"
         sc2 = B.s[sid2]
-        L1 = _corrected_pair_lift(A, A.c[Z], A.w[Zbar].flag,
-                                  A.w[Z].flag.factor(r), sc.flag, t, sc.lift, p)
-        L2 = _corrected_pair_lift(A, A.c[Zbar], A.w[Z].flag,
-                                  A.w[Zbar].flag.factor(t), sc2.flag, r,
-                                  sc2.lift, p)
+        L1 = _corrected_pair_lift(B.orth["w", Z], A.w[Z].flag.factor(r),
+                                  sc.flag, t, sc.lift, p)
+        L2 = _corrected_pair_lift(B.orth["w", Zbar], A.w[Zbar].flag.factor(t),
+                                  sc2.flag, r, sc2.lift, p)
         pc = modp(L1 @ A.c[Z] @ L2.T, p)
         w_cells[wid].partner = wid2
         c_new[wid] = pc
@@ -309,8 +306,10 @@ def grind_B_to_A(B: BState) -> AState:
     for (rid, t), vid in vid_of.items():
         sid, N = B.mu[rid]
         for l in v_cells[vid].flag.factor_labels():
-            M = gfp.induced_iso(N, B.r[rid].flag, B.s[sid].flag, t, l, p)
-            nu_new[(vid, l)] = (wid_of[(sid, l)], t, M)
+            wid = wid_of[(sid, l)]
+            M = gfp.induced_iso(N, B.r[rid].flag, B.s[sid].flag,
+                                v_cells[vid].flag, w_cells[wid].flag, t, l, p)
+            nu_new[(vid, l)] = (wid, t, M)
     out = AState(p, 1 - B.parity, v_cells, w_cells, b_new, c_new, nu_new)
     out.check()
     return out
@@ -523,10 +522,9 @@ def _restrict(h, rows, p):
     """h in the coordinates of an invariant row space."""
     if rows.shape[0] == 0:
         return zeros(0, 0)
-    imgs = modp(rows @ h.T, p)
-    coords = [gfp.solve_rows(rows, im, p) for im in imgs]
-    assert all(c is not None for c in coords), "space is not h-invariant"
-    return np.array(coords, dtype=np.int64).T
+    coords = gfp.solve_rows(rows, modp(rows @ h.T, p), p)
+    assert coords is not None, "space is not h-invariant"
+    return coords.T
 
 
 def _assert_split(M, h, U, Up, p):

@@ -153,6 +153,16 @@ def test_cli_flag_invariants(tmp_path, capsys):
     assert out["grid"] == [[0, 1], [1, 0]]
 
 
+def test_cli_flag_invariants_rejects_composite_p(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"p": 4, "flag_dims": [1, 2],
+                                "matrix": [[0, 1], [3, 0]]}))
+    assert main(["flag-invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p: unsupported prime 4")
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest", "--p", "3", "--n", "2", "--seed", "4",
                  "--iters", "5"]) == 0

@@ -257,3 +257,9 @@ def test_admissible_grid_counts():
     assert sorted(g[0, 0] for g in grids) == [0, 2, 4]
     grids_nd = list(admissible_grids([4], nondegenerate=True))
     assert len(grids_nd) == 1 and grids_nd[0][0, 0] == 4
+
+
+def test_composite_p_rejected():
+    # the Fermat inverse behind the grid is wrong for composite moduli
+    with pytest.raises(ValueError, match="unsupported prime 4"):
+        flagged_from_dims(4, [1, 2], np.array([[0, 1], [3, 0]]))

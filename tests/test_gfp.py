@@ -201,10 +201,11 @@ def test_induced_pairing_one_step_is_b():
 def test_induced_iso_identity_and_scalar():
     p = 5
     V = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
-    M = induced_iso(eye(2), V, V, 0, 0, p)
-    assert np.array_equal(M, eye(2))
-    M2 = induced_iso(modp(3 * eye(2), p), V, V, 0, 0, p)
-    assert np.array_equal(M2, modp(3 * eye(2), p))
+    for mu in (eye(2), modp(3 * eye(2), p)):
+        src = transfer_flag_via_iso(mu, V, V, 0, p, mode="preimage")
+        dst = transfer_flag_via_iso(mu, V, V, 0, p, mode="image")
+        M = induced_iso(mu, V, V, src, dst, 0, 0, p)
+        assert np.array_equal(M, mu)
 
 
 def test_poly_factor_and_companion():

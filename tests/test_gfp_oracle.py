@@ -1,0 +1,92 @@
+"""The F_p elimination core against an independent implementation: sympy's
+DomainMatrix over GF(p), on seeded random matrices for every supported prime,
+with sizes on both sides of the m*n = 256 switch to numpy elimination."""
+import random
+
+import numpy as np
+import pytest
+
+pytest.importorskip("sympy")
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
+from charpforms import gfp
+
+# (m, n): 256 entries and below take the Python-int path, above it numpy
+SHAPES = [(1, 5), (3, 4), (8, 8), (16, 16), (12, 22), (17, 17), (20, 30)]
+SQUARE = [1, 4, 9, 16, 17, 20]
+
+
+def _random_matrix(rng, m, n, p):
+    """Full rank or, for half the seeds, rank about half of min(m, n)."""
+    A = gfp.random_matrix(rng, m, n, p)
+    if rng.random() < 0.5:
+        r = max(1, min(m, n) // 2)
+        A = gfp.modp(gfp.random_matrix(rng, m, r, p) @ gfp.random_matrix(rng, r, n, p), p)
+    return A
+
+
+def _sympy(A, p):
+    K = GF(p, symmetric=False)
+    return K, DomainMatrix.from_list(A.tolist(), K)
+
+
+def _ints(K, M):
+    return np.array([[K.to_int(x) for x in row] for row in M.to_list()],
+                    dtype=np.int64).reshape(M.shape)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_rref_rank_nullspace_match_sympy(p):
+    rng = random.Random(p)
+    for m, n in SHAPES:
+        for _ in range(3):
+            A = _random_matrix(rng, m, n, p)
+            K, M = _sympy(A, p)
+            R_ref, piv_ref = M.rref()
+            R, piv = gfp.rref(A, p)
+            assert piv == list(piv_ref)
+            assert np.array_equal(R, _ints(K, R_ref))
+            assert gfp.rank(A, p) == M.rank()
+            N = gfp.nullspace(A, p)
+            assert N.shape == (n - M.rank(), n)
+            assert not np.any(gfp.modp(A @ N.T, p))
+            if N.shape[0]:
+                N_ref = _ints(K, M.nullspace().rref()[0])
+                assert np.array_equal(N, N_ref)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_inverse_and_det_match_sympy(p):
+    rng = random.Random(100 + p)
+    for n in SQUARE:
+        for _ in range(3):
+            A = _random_matrix(rng, n, n, p)
+            K, M = _sympy(A, p)
+            d = K.to_int(M.det())
+            assert gfp.det(A, p) == d
+            if d:
+                assert np.array_equal(gfp.inverse(A, p), _ints(K, M.inv()))
+            else:
+                with pytest.raises(ValueError):
+                    gfp.inverse(A, p)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_batched_solve_rows_equals_per_row(p):
+    rng = random.Random(200 + p)
+    for k, n, count in [(3, 5, 4), (6, 8, 8), (10, 16, 12), (12, 20, 6)]:
+        # dependent rows in B, so the chosen coefficients are not unique
+        B = _random_matrix(rng, k, n, p)
+        V = gfp.modp(gfp.random_matrix(rng, count, k, p) @ B, p)
+        per_row = [gfp.solve_rows(B, v, p) for v in V]
+        batched = gfp.solve_rows(B, V, p)
+        assert batched.shape == (count, k)
+        assert np.array_equal(batched, np.array(per_row))
+        assert np.array_equal(gfp.modp(batched @ B, p), V)
+        pivots = gfp.rref(B, p)[1]
+        if len(pivots) < n:
+            # a unit vector at a non-pivot column is outside the row space
+            outside = gfp.eye(n)[min(set(range(n)) - set(pivots))]
+            assert gfp.solve_rows(B, outside, p) is None
+            assert gfp.solve_rows(B, np.vstack([V, outside]), p) is None
