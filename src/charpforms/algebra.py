@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .gfp import check_prime, inv_scalar
 
 Mono = tuple  # exponent vector
@@ -144,6 +146,45 @@ def _digits(r: int, p: int) -> list[int]:
         out.append(r % p)
         r //= p
     return out
+
+
+@lru_cache(maxsize=None)
+def _binom_table(cap: int, p: int) -> np.ndarray:
+    """T[a, s] = C(s, a) mod p for a < cap and s < 2*cap - 1, zero from
+    s = cap on: the coefficient of x^(s) in x^(a) * x^(s - a) for a
+    coordinate whose exponents stop below cap = p^m."""
+    T = np.zeros((cap, 2 * cap - 1), dtype=np.int64)
+    for a in range(cap):
+        T[a, :cap] = [binom_lucas(s, a, p) for s in range(cap)]
+    T.flags.writeable = False       # shared by every caller through the cache
+    return T
+
+
+def multiplication_matrix(f: "AlgebraElement") -> np.ndarray:
+    """The matrix of g -> f * g on O(F), in the basis `spec.monomials()`.
+
+    Column j holds the coordinates of f * x^(b) for the j-th monomial b.  A
+    term c x^(a) of f sends x^(b) to c * prod_i C(a_i + b_i, a_i) x^(a + b),
+    whose index is that of x^(b) plus that of x^(a); the binomials come from
+    one cached table per cap p^m, and distinct terms of f fill distinct
+    entries.
+    """
+    spec = f.spec
+    p = spec.p
+    dim = spec.dim
+    M = np.zeros((dim, dim), dtype=np.int64)
+    if not f.terms:
+        return M
+    exps = np.indices(spec.caps).reshape(spec.n, dim)    # exps[i, j] = b_i
+    strides = np.cumprod((1,) + spec.caps[:0:-1])[::-1]
+    shifts = np.array(list(f.terms), dtype=np.int64)     # one row a per term
+    coeff = np.array(list(f.terms.values()), dtype=np.int64)[:, None]
+    for i, cap in enumerate(spec.caps):
+        a = shifts[:, i:i + 1]
+        coeff = coeff * _binom_table(cap, p)[a, exps[i] + a] % p
+    term, col = np.nonzero(coeff)
+    M[(shifts @ strides)[term] + col, col] = coeff[term, col]
+    return M
 
 
 class AlgebraElement:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .algebra import AlgebraElement, FlagSpec
+from .algebra import AlgebraElement, FlagSpec, multiplication_matrix
 from .flagbilinear import (AugmentedInvariant, FlaggedBilinear,
                            admissible_grids, invariants_contact_pair,
                            invariants_form_functional)
@@ -204,39 +204,43 @@ def is_contact(cand: ContactCandidate) -> bool:
 def contact_split(cand: ContactCandidate):
     """F_p-bases of P = ker(delta -> delta . d omega) and
     Q = ker(delta -> omega(delta)) inside W(F)."""
-    spec = cand.spec
     if not is_contact(cand):
         raise ValueError("not a contact form")
-    p = spec.p
-    monos = list(spec.monomials())
-    mono_index = {m: i for i, m in enumerate(monos)}
-    dimO = len(monos)
-    dimW = spec.n * dimO
-    domega = cand.form.d()
-
-    def delta_of(col):
-        i, m = divmod(col, dimO)
-        coeffs = [AlgebraElement.zero(spec) for _ in range(spec.n)]
-        coeffs[i] = AlgebraElement(spec, {monos[m]: 1})
-        return coeffs
-
-    rows_P = gfp.zeros(dimW, dimW)   # delta -> delta . d omega (1-form coords)
-    rows_Q = gfp.zeros(dimO, dimW)   # delta -> omega(delta)
-    for col in range(dimW):
-        delta = delta_of(col)
-        contr = domega.contract(delta)
-        for (i,), f in contr.terms.items():
-            for m, c in f.terms.items():
-                rows_P[i * dimO + mono_index[m], col] = c
-        val = AlgebraElement.zero(spec)
-        for (i,), f in cand.form.terms.items():
-            val = val + f * delta[i]
-        for m, c in val.terms.items():
-            rows_Q[mono_index[m], col] = c
-    P = gfp.nullspace(rows_P, p)
-    Q = gfp.nullspace(rows_Q, p)
-    assert P.shape[0] + Q.shape[0] == dimW, "contact split dimensions broken"
+    rows_P, rows_Q = _contact_matrices(cand)
+    P = gfp.nullspace(rows_P, cand.spec.p)
+    Q = gfp.nullspace(rows_Q, cand.spec.p)
+    assert P.shape[0] + Q.shape[0] == rows_P.shape[1], \
+        "contact split dimensions broken"
     return P, Q
+
+
+def _contact_matrices(cand: ContactCandidate):
+    """The matrices of delta -> delta . d omega (1-form coordinates) and
+    delta -> omega(delta) on W(F), as int16 arrays.
+
+    Coordinate j * dim O(F) + idx(x^(m)) of W(F) is x^(m) d_j, and a 1-form
+    sum f_k dx_k has coordinates k * dim O(F) + idx(.) likewise.  With
+    omega = sum f_j dx_j and d omega = sum_{j<k} g_jk dx_j ^ dx_k, contracting
+    x^(m) d_j gives +g_jk x^(m) dx_k and contracting x^(m) d_k gives
+    -g_jk x^(m) dx_j, so both matrices are made of blocks of multiplication
+    matrices.
+    """
+    spec = cand.spec
+    p = spec.p
+    dimO = spec.dim
+    rows_P = np.zeros((spec.n * dimO, spec.n * dimO), dtype=np.int16)
+    rows_Q = np.zeros((dimO, spec.n * dimO), dtype=np.int16)
+
+    def block(i):
+        return slice(i * dimO, (i + 1) * dimO)
+
+    for (j, k), g in cand.form.d().terms.items():
+        G = multiplication_matrix(g)
+        rows_P[block(k), block(j)] = G
+        rows_P[block(j), block(k)] = -G % p
+    for (j,), f in cand.form.terms.items():
+        rows_Q[:, block(j)] = multiplication_matrix(f)
+    return rows_P, rows_Q
 
 
 # ---------------------------------------------------------------------------

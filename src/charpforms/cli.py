@@ -19,7 +19,7 @@ from .classify import (equivalent, invariants, normal_shape, random_form,
                        recognize)
 from .flagbilinear import (admissible_grids, brute_force_orbit_partition,
                            flagged_from_dims, grid_fibers, invariants_nqt)
-from .forms import cohomology_basis, cohomology_dims, render_form
+from .forms import DiffForm, cohomology_basis, cohomology_dims, render_form
 from .gfp import check_prime
 from .jsonio import (FormatError, form_from_json, form_to_json,
                      invariants_to_json)
@@ -33,7 +33,11 @@ def _load_form(path: str):
         raise FormatError(path, str(ex))
     except json.JSONDecodeError as ex:
         raise FormatError(f"{path}:{ex.lineno}", ex.msg)
-    return form_from_json(data)
+    cand = form_from_json(data)
+    if isinstance(cand, DiffForm):
+        raise FormatError("degree", f"expected 1 (contact) or 2 (symplectic), "
+                                    f"got {cand.degree}")
+    return cand
 
 
 def _emit(data) -> None:
@@ -115,8 +119,8 @@ def cmd_flag_invariants(args) -> int:
     p = data.get("p")
     dims = data.get("flag_dims")
     mat = data.get("matrix")
-    if not isinstance(p, int) or not isinstance(dims, list) \
-            or not isinstance(mat, list):
+    if not isinstance(p, int) or isinstance(p, bool) \
+            or not isinstance(dims, list) or not isinstance(mat, list):
         raise FormatError("<root>", "need p, flag_dims, matrix")
     try:
         check_prime(p)

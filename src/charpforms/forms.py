@@ -321,10 +321,6 @@ def cohomology_basis(spec: FlagSpec, k: int) -> list[DiffForm]:
     return out
 
 
-def is_closed(omega: DiffForm) -> bool:
-    return not omega.d()
-
-
 def is_exact_with_potential(omega: DiffForm) -> DiffForm | None:
     """A potential phi with d(phi) = omega, or None; input must be closed."""
     if omega.d():

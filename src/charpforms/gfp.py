@@ -7,13 +7,18 @@ pairing b: V x U -> K is a matrix of shape (dim V, dim U) with
 b(v, u) = v^T b u.
 
 Every row reduction (rref, rank, nullspace, solves, inverse, determinant,
-quotient projections) goes through one elimination core that works on lists
-of Python-int rows.  Matrices with at most SMALL_ENTRIES entries (m*n <= 256,
-the 16x16 and smaller systems of the classification pipeline) are reduced in
-plain Python (`_reduce`), which beats numpy's per-call overhead at that size;
-`_eliminate` hands larger ones (the dense systems of contact splitting) to
-numpy row operations.  numpy arrays appear only at the public functions:
-each converts its input to rows once and its result back once.
+quotient projections) uses one pivot rule: the pivot of a column is the first
+row, at or below the current one, with a nonzero entry there.  Matrices with
+at most SMALL_ENTRIES entries (m*n <= 256, the 16x16 and smaller systems of
+the classification pipeline) are reduced as lists of Python-int rows
+(`_reduce`), which beats numpy's per-call overhead at that size.  Larger ones
+(the dense systems of contact splitting) are reduced by `_rref_large` in
+place on one int16 array: entries lie in [0, p) with p <= 13, so each update
+x - f*y stays within [-144, 12], and a pivot only touches the rows with a
+nonzero entry in its column, from its column on.  `nullspace`, which
+contact splitting calls on its large systems, keeps them as arrays end to
+end: the null-space basis is read off (R, pivots) by indexing and reduced
+once more to its canonical rref.
 """
 from __future__ import annotations
 
@@ -119,36 +124,47 @@ def _reduce(rows: list, n: int, p: int) -> tuple[list[int], int]:
 def _eliminate(rows: list, n: int, p: int) -> list[int]:
     """rref of rows in place; returns the pivot columns."""
     if len(rows) * n > SMALL_ENTRIES:
-        R, pivots = _rref_large(_matrix(rows, n), p)
-        rows[:] = R.tolist()
+        A = np.array(rows, dtype=np.int16).reshape(len(rows), n)
+        pivots = _rref_large(A, p)
+        rows[:] = A.tolist()
         return pivots
     return _reduce(rows, n, p)[0]
 
 
-def _rref_large(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The same elimination by numpy row operations, for large matrices."""
-    A = A.copy()
+def _rref_large(A: np.ndarray, p: int) -> list[int]:
+    """The same elimination by numpy row operations, for large matrices.
+
+    Reduces the int16 array A (entries in [0, p)) to rref in place and
+    returns the pivot columns.  The pivot row is zero left of its pivot, so
+    only the columns from there on change, and only in the rows with a
+    nonzero entry in the pivot column.
+    """
+    inv = _inverse_table(p)
     m, n = A.shape
     r = 0
     pivots: list[int] = []
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        hit = A[:, c].nonzero()[0]
+        k = int(hit.searchsorted(r))
+        if k == hit.size:
             continue
-        piv = r + int(nz[0])
+        piv = int(hit[k])
         if piv != r:
+            # A[r, c] == 0 here, so after the swap row piv is zero at c
             A[[r, piv]] = A[[piv, r]]
-        A[r] = (A[r] * inv_scalar(int(A[r, c]), p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            A -= np.outer(col, A[r])
-            A %= p
+        a = int(A[r, c])
+        if a != 1:
+            A[r, c:] = A[r, c:] * inv[a] % p
+        others = hit[hit != piv]
+        if others.size:
+            block = A[others, c:]
+            block -= block[:, :1] * A[r, c:]
+            A[others, c:] = block % p
         pivots.append(c)
         r += 1
-    return A, pivots
+    return pivots
 
 
 def _solve(A: list, rhs: list, n: int, p: int) -> list | None:
@@ -198,6 +214,9 @@ def full_space(n: int) -> np.ndarray:
 
 def nullspace(A, p: int) -> np.ndarray:
     """Row basis of {x : A @ x = 0}."""
+    A = np.asarray(A)
+    if A.size > SMALL_ENTRIES:
+        return _nullspace_large(A, p)
     rows, n = _rows(A, p)
     pivots = _eliminate(rows, n, p)
     basis = []
@@ -209,6 +228,23 @@ def nullspace(A, p: int) -> np.ndarray:
         basis.append(v)
     _eliminate(basis, n, p)
     return _matrix(basis, n)
+
+
+def _nullspace_large(A: np.ndarray, p: int) -> np.ndarray:
+    """nullspace by `_rref_large` on an int16 copy R of A mod p.
+
+    The basis vector of a free column c has 1 at c, zero at the other free
+    columns and -R[i, c] at the pivot column of row i.
+    """
+    R = (np.atleast_2d(A) % p).astype(np.int16, copy=False)
+    n = R.shape[1]
+    pivots = _rref_large(R, p)
+    free = np.setdiff1d(np.arange(n), pivots)
+    N = np.zeros((free.size, n), dtype=np.int16)
+    N[np.arange(free.size), free] = 1
+    N[:, pivots] = (-R[:len(pivots), free].T) % p
+    _rref_large(N, p)
+    return N.astype(np.int64)
 
 
 def solve(A, b, p: int) -> np.ndarray | None:

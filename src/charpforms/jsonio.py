@@ -28,11 +28,17 @@ class FormatError(ValueError):
         super().__init__(f"{field}: {msg}")
 
 
+def _ints(values) -> bool:
+    """Every entry is a JSON integer; true/false load as bool, which
+    isinstance(_, int) would let through."""
+    return {int}.issuperset(map(type, values))
+
+
 def _need(data: dict, field: str, types):
     if field not in data:
         raise FormatError(field, "missing field")
     val = data[field]
-    if not isinstance(val, types):
+    if not isinstance(val, types) or isinstance(val, bool):   # no field is boolean
         raise FormatError(field, f"expected {types}, got {type(val).__name__}")
     return val
 
@@ -40,6 +46,8 @@ def _need(data: dict, field: str, types):
 def spec_from_json(data: dict) -> FlagSpec:
     p = _need(data, "p", int)
     heights = _need(data, "heights", list)
+    if not _ints(heights):
+        raise FormatError("heights", "expected a list of integers")
     try:
         return FlagSpec(p, tuple(heights))
     except (ValueError, TypeError) as ex:
@@ -59,11 +67,11 @@ def element_from_json(spec: FlagSpec, data, field: str = "element") -> AlgebraEl
             raise FormatError(f"{field}[{i}]", "expected a term record")
         mono = t.get("mono")
         coeff = t.get("coeff")
-        if not isinstance(mono, list) or len(mono) != spec.n:
+        if not isinstance(mono, list) or len(mono) != spec.n or not _ints(mono):
             raise FormatError(f"{field}[{i}].mono", "bad exponent vector")
-        if not isinstance(coeff, int):
+        if not _ints([coeff]):
             raise FormatError(f"{field}[{i}].coeff", "expected an integer")
-        mono = tuple(int(a) for a in mono)
+        mono = tuple(mono)
         if any(a < 0 or a >= cap for a, cap in zip(mono, spec.caps)):
             raise FormatError(f"{field}[{i}].mono", "exponent out of range")
         terms[mono] = (terms.get(mono, 0) + coeff) % spec.p
@@ -104,7 +112,7 @@ def form_from_json(data: dict):
         raise FormatError("degree", f"outside 0..{spec.n}")
     u = data.get("u_class", [0] * spec.n)
     if not isinstance(u, list) or len(u) != spec.n or \
-            not all(isinstance(c, int) for c in u):
+            not _ints(u):
         raise FormatError("u_class", "expected an integer vector of length n")
     raw = _need(data, "terms", list)
     terms: dict = {}
@@ -112,9 +120,9 @@ def form_from_json(data: dict):
         if not isinstance(t, dict):
             raise FormatError(f"terms[{i}]", "expected a term record")
         wedge = t.get("wedge")
-        if not isinstance(wedge, list) or len(wedge) != degree or \
-                sorted(set(wedge)) != wedge or \
-                any(not isinstance(i2, int) or i2 < 1 or i2 > spec.n for i2 in wedge):
+        if not isinstance(wedge, list) or not _ints(wedge) or \
+                len(wedge) != degree or sorted(set(wedge)) != wedge or \
+                any(i2 < 1 or i2 > spec.n for i2 in wedge):
             raise FormatError(f"terms[{i}].wedge", "bad wedge index list")
         I = tuple(i2 - 1 for i2 in wedge)
         piece = element_from_json(spec, [t], field=f"terms[{i}]")

@@ -1,12 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from charpforms.algebra import (
     AlgebraElement, C_k_basis_count, FlagSpec, OutOfAlgebraError,
-    _fact_val_unit, binom_lucas, mono_dp_coeff, random_element,
-    render_element,
+    _fact_val_unit, binom_lucas, mono_dp_coeff, multiplication_matrix,
+    random_element, render_element,
 )
 
 
@@ -306,3 +307,30 @@ def test_render():
     f = AlgebraElement.one(s) + AlgebraElement.monomial(s, (2, 1), 2)
     assert render_element(f) == "1 + 2*x1^(2)*x2"
     assert render_element(AlgebraElement.zero(s)) == "0"
+
+
+@pytest.mark.parametrize("p, heights", [(2, (2, 3, 1)), (3, (2, 1)),
+                                        (5, (1, 2)), (13, (2,))])
+def test_multiplication_matrix_matches_product(p, heights):
+    """M(f) @ coords(g) = coords(f * g), with the product as oracle; every
+    spec has a coordinate of height >= 2, so Lucas uses two or more digits."""
+    spec = FlagSpec(p, heights)
+    index = {m: i for i, m in enumerate(spec.monomials())}
+
+    def coords(f):
+        v = np.zeros(spec.dim, dtype=np.int64)
+        for m, c in f.terms.items():
+            v[index[m]] = c
+        return v
+
+    rng = random.Random(p)
+    for terms in (1, 4, 12):
+        f = random_element(rng, spec, terms, in_m=False)
+        M = multiplication_matrix(f)
+        assert M.shape == (spec.dim, spec.dim)
+        for _ in range(3):
+            g = random_element(rng, spec, 8, in_m=False)
+            assert np.array_equal(M @ coords(g) % p, coords(f * g))
+    assert not np.any(multiplication_matrix(AlgebraElement.zero(spec)))
+    one = multiplication_matrix(AlgebraElement.one(spec))
+    assert np.array_equal(one, np.eye(spec.dim, dtype=np.int64))

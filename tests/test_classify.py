@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from charpforms.algebra import AlgebraElement, FlagSpec, random_element
+from charpforms import gfp
 from charpforms.classify import (
     ContactCandidate, ContactInvariant, SymplecticCandidate, Type2Invariant,
-    admissible_contact_invariants, admissible_type2_invariants,
-    apply_to_candidate, constant_bivector, contact_split, equivalent,
-    invariants, is_contact, is_symplectic, normal_shape, random_form,
-    recognize, same_Gprime_orbit,
+    _contact_matrices, admissible_contact_invariants,
+    admissible_type2_invariants, apply_to_candidate, constant_bivector,
+    contact_split, equivalent, invariants, is_contact, is_symplectic,
+    normal_shape, random_form, recognize, same_Gprime_orbit,
 )
 from charpforms.forms import DiffForm, e_vector_form
 from charpforms.grind import Indecomposable, descriptor_equal
@@ -56,6 +57,48 @@ def test_type1_descriptor_examples():
     d2 = invariants(SymplecticCandidate([0, 0], dx_wedge(s, 0, 1, coeff)))
     assert d2 == Counter({Indecomposable(True, (1,), (1,), (2, 1)): 1})
     assert not descriptor_equal(d1, d2)
+
+
+def _contact_matrices_by_columns(cand):
+    """Reference build of the contact-split matrices: one contraction and
+    n products of algebra elements per basis derivation x^(m) d_i."""
+    spec = cand.spec
+    monos = list(spec.monomials())
+    mono_index = {m: i for i, m in enumerate(monos)}
+    dimO = len(monos)
+    dimW = spec.n * dimO
+    domega = cand.form.d()
+    rows_P = gfp.zeros(dimW, dimW)
+    rows_Q = gfp.zeros(dimO, dimW)
+    for col in range(dimW):
+        i, m = divmod(col, dimO)
+        delta = [AlgebraElement.zero(spec) for _ in range(spec.n)]
+        delta[i] = AlgebraElement(spec, {monos[m]: 1})
+        for (k,), f in domega.contract(delta).terms.items():
+            for mono, c in f.terms.items():
+                rows_P[k * dimO + mono_index[mono], col] = c
+        val = AlgebraElement.zero(spec)
+        for (k,), f in cand.form.terms.items():
+            val = val + f * delta[k]
+        for mono, c in val.terms.items():
+            rows_Q[mono_index[mono], col] = c
+    return rows_P, rows_Q
+
+
+@pytest.mark.parametrize("p, heights, seed", [
+    (3, (1,), 1), (5, (2,), 2), (3, (1, 1, 1), 3), (3, (1, 2, 1), 4),
+    (5, (1, 1, 1), 5), (7, (1, 1, 1), 6)])
+def test_contact_split_matches_per_column_build(p, heights, seed):
+    cand = random_form("contact", FlagSpec(p, heights), seed)
+    ref_P, ref_Q = _contact_matrices_by_columns(cand)
+    rows_P, rows_Q = _contact_matrices(cand)
+    assert np.array_equal(rows_P, ref_P) and np.array_equal(rows_Q, ref_Q)
+    P, Q = contact_split(cand)
+    assert np.array_equal(P, gfp.nullspace(ref_P, p))
+    assert np.array_equal(Q, gfp.nullspace(ref_Q, p))
+    assert P.shape[0] == cand.spec.dim
+    assert not np.any(gfp.modp(ref_P @ P.T, p))
+    assert not np.any(gfp.modp(ref_Q @ Q.T, p))
 
 
 def test_is_contact_examples():

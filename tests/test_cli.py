@@ -87,6 +87,55 @@ def test_cli_malformed_exits_2(tmp_path, capsys):
     assert "mono" in capsys.readouterr().err
 
 
+def test_cli_wrong_degree_exits_2(tmp_path, capsys):
+    """A form file of degree 0 or 3 is neither symplectic nor contact."""
+    s = FlagSpec(3, (1, 1, 1))
+    good = write_form(tmp_path, random_form("contact", s, 1), "good.json")
+    zero = write_form(tmp_path, DiffForm(s, 0, {(): AlgebraElement.one(s)}),
+                      "zero.json")
+    three = write_form(tmp_path, DiffForm(s, 3, {(0, 1, 2): AlgebraElement.one(s)}),
+                       "three.json")
+    for path in (zero, three):
+        assert main(["check", path]) == 2
+        assert "error: degree: " in capsys.readouterr().err
+        assert main(["equiv", good, path]) == 2
+        err = capsys.readouterr().err
+        assert "degree" in err and "Traceback" not in err
+
+
+def test_cli_rejects_non_integer_fields(tmp_path, capsys):
+    """true/false in an integer field exit 2; so do a fractional exponent,
+    which used to be truncated silently, and a wedge index of mixed type,
+    which used to raise TypeError."""
+    s = FlagSpec(3, (1, 1, 1))
+    data = form_to_json(random_form("contact", s, 1))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    first = data["terms"][0]
+    for field, patch in [("degree", {"degree": True}),
+                         ("p", {"p": True}),
+                         ("heights", {"heights": [True, 1, 1]}),
+                         ("u_class", {"u_class": [False, 0, 0]}),
+                         ("coeff", {"terms": [dict(first, coeff=True)]}),
+                         ("mono", {"terms": [dict(first, mono=[False, 0, 0])]}),
+                         ("mono", {"terms": [dict(first, mono=[0.5, 0, 0])]}),
+                         ("wedge", {"terms": [dict(first, wedge=[True])]})]:
+        path.write_text(json.dumps(dict(data, **patch)))
+        assert main(["check", str(path)]) == 2, field
+        assert f"{field}: " in capsys.readouterr().err
+    two = form_to_json(random_form("type1", FlagSpec(3, (1, 1)), 1))
+    two["terms"][0]["wedge"] = ["a", 1]
+    path.write_text(json.dumps(two))
+    assert main(["check", str(path)]) == 2
+    assert "wedge: " in capsys.readouterr().err
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"p": True, "flag_dims": [2], "matrix": [[0, 1], [-1, 0]]}))
+    assert main(["flag-invariants", str(mat)]) == 2
+    assert "<root>: " in capsys.readouterr().err
+
+
 def test_cli_equiv_and_normalize(tmp_path, capsys):
     rng = random.Random(1)
     spec = FlagSpec(3, (1, 1))

@@ -14,6 +14,9 @@ from charpforms import gfp
 
 # (m, n): 256 entries and below take the Python-int path, above it numpy
 SHAPES = [(1, 5), (3, 4), (8, 8), (16, 16), (12, 22), (17, 17), (20, 30)]
+# well past 256 entries, always rank-deficient; at p = 13 the int16 updates
+# of the large path reach their extreme values
+LARGE_SHAPES = [(60, 180), (180, 60), (120, 120)]
 SQUARE = [1, 4, 9, 16, 17, 20]
 
 
@@ -54,6 +57,38 @@ def test_rref_rank_nullspace_match_sympy(p):
             if N.shape[0]:
                 N_ref = _ints(K, M.nullspace().rref()[0])
                 assert np.array_equal(N, N_ref)
+
+
+def _assert_rref(R, p):
+    """R has no zero rows, leading entries 1 at increasing columns, and
+    zeros elsewhere in each pivot column."""
+    assert np.all((R >= 0) & (R < p))
+    last = -1
+    for row in R:
+        lead = int(np.flatnonzero(row)[0])
+        assert lead > last and row[lead] == 1
+        assert np.count_nonzero(R[:, lead]) == 1
+        last = lead
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_large_rank_deficient_match_sympy(p):
+    rng = random.Random(300 + p)
+    for m, n in LARGE_SHAPES:
+        r = min(m, n) // 2
+        A = gfp.modp(gfp.random_matrix(rng, m, r, p) @ gfp.random_matrix(rng, r, n, p), p)
+        K, M = _sympy(A, p)
+        R_ref, piv_ref = M.rref()
+        R, piv = gfp.rref(A, p)
+        assert piv == list(piv_ref) and len(piv) < min(m, n)
+        assert np.array_equal(R, _ints(K, R_ref))
+        assert gfp.rank(A, p) == len(piv_ref)
+        # n - rank independent kernel vectors in rref are the canonical
+        # basis of the kernel
+        N = gfp.nullspace(A, p)
+        assert N.shape == (n - len(piv_ref), n) and N.dtype == np.int64
+        assert not np.any(gfp.modp(A @ N.T, p))
+        _assert_rref(N, p)
 
 
 @pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
