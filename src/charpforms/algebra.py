@@ -15,7 +15,8 @@ coefficient vanishes mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, lt
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class FlagSpec:
     def n(self) -> int:
         return len(self.heights)
 
-    @property
+    @cached_property
     def caps(self) -> tuple:
         return tuple(self.p ** m for m in self.heights)
 
@@ -96,23 +97,7 @@ def _fact_val_unit(m: int, p: int) -> tuple[int, int]:
 
 def binom_lucas(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by Lucas' theorem."""
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while n or k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        num = 1
-        for i in range(kd):
-            num = num * (nd - i) % p
-        den = 1
-        for i in range(1, kd + 1):
-            den = den * i % p
-        out = out * num * inv_scalar(den, p) % p
-        n //= p
-        k //= p
-    return out
+    return _binom(n, k, p) if 0 <= k <= n else 0
 
 
 @lru_cache(maxsize=1 << 16)
@@ -149,13 +134,42 @@ def _digits(r: int, p: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _binom_rows(p: int) -> tuple:
+    """(R, B): B is the largest power of p up to 256 and R[s][a] = C(s, a)
+    mod p for a <= s < B, one bytes row per s built by Pascal's rule.  Every
+    binomial of the products comes from here, and its size depends on p
+    only (at most 256 rows)."""
+    B = p
+    while B * p <= 256:
+        B *= p
+    rows = [b"\x01"]
+    for _ in range(B - 1):
+        prev = rows[-1]
+        rows.append(bytes([1, *((x + y) % p for x, y in zip(prev, prev[1:])), 1]))
+    return tuple(rows), B
+
+
+def _binom(s: int, a: int, p: int) -> int:
+    """C(s, a) mod p for 0 <= a <= s, by Lucas' theorem in base B."""
+    rows, B = _binom_rows(p)
+    c = 1
+    while s >= B:
+        s, sd = divmod(s, B)
+        a, ad = divmod(a, B)
+        if ad > sd:
+            return 0
+        c = c * rows[sd][ad] % p
+    return c * rows[s][a] % p
+
+
+@lru_cache(maxsize=None)
 def _binom_table(cap: int, p: int) -> np.ndarray:
     """T[a, s] = C(s, a) mod p for a < cap and s < 2*cap - 1, zero from
     s = cap on: the coefficient of x^(s) in x^(a) * x^(s - a) for a
     coordinate whose exponents stop below cap = p^m."""
     T = np.zeros((cap, 2 * cap - 1), dtype=np.int64)
     for a in range(cap):
-        T[a, :cap] = [binom_lucas(s, a, p) for s in range(cap)]
+        T[a, a:cap] = [_binom(s, a, p) for s in range(a, cap)]
     T.flags.writeable = False       # shared by every caller through the cache
     return T
 
@@ -195,6 +209,14 @@ class AlgebraElement:
     def __init__(self, spec: FlagSpec, terms: dict | None = None):
         self.spec = spec
         self.terms = {m: c % spec.p for m, c in (terms or {}).items() if c % spec.p}
+
+    @classmethod
+    def _trusted(cls, spec: FlagSpec, terms: dict) -> "AlgebraElement":
+        """Wrap `terms` as is: its coefficients are already in [1, p)."""
+        out = cls.__new__(cls)
+        out.spec = spec
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -256,7 +278,7 @@ class AlgebraElement:
         p = self.spec.p
         for m, c in other.terms.items():
             out[m] = (out.get(m, 0) + c) % p
-        return AlgebraElement(self.spec, out)
+        return AlgebraElement._trusted(self.spec, {m: c for m, c in out.items() if c})
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -265,58 +287,60 @@ class AlgebraElement:
         return self.scale(-1)
 
     def scale(self, c: int) -> "AlgebraElement":
-        c %= self.spec.p
-        return AlgebraElement(self.spec, {m: a * c for m, a in self.terms.items()})
+        p = self.spec.p
+        c %= p
+        if not c:
+            return AlgebraElement.zero(self.spec)
+        return AlgebraElement._trusted(self.spec,
+                                       {m: a * c % p for m, a in self.terms.items()})
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError("algebra mismatch")
 
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other):
         """Truncated product; exact because dropped terms vanish mod p."""
-        self._check(other)
-        p = self.spec.p
-        caps = self.spec.caps
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                coeff = c1 * c2 % p
-                mono = []
-                for a, b, cap in zip(m1, m2, caps):
-                    s = a + b
-                    if s >= cap:
-                        coeff = 0
-                        break
-                    coeff = coeff * binom_lucas(s, a, p) % p
-                    if not coeff:
-                        break
-                    mono.append(s)
-                if coeff:
-                    key = tuple(mono)
-                    out[key] = (out.get(key, 0) + coeff) % p
-        return AlgebraElement(self.spec, out)
+        return self._product(other, self.spec.caps)
 
     def mul_free(self, other) -> "AlgebraElement":
         """Product in the free divided power algebra (no truncation)."""
+        return self._product(other, None)
+
+    def _product(self, other, caps) -> "AlgebraElement":
+        """Term-by-term product; caps=None multiplies in the free algebra.
+
+        With caps, terms with an exponent at or past its cap are dropped
+        first; the rest multiply as in the free algebra, since a product
+        exponent a + b >= p^m of two exponents below p^m carries past digit
+        m - 1 and so has C(a + b, a) = 0 mod p (Lucas).  Coordinates where
+        either exponent is 0 contribute the binomial 1 and are skipped.
+        """
         self._check(other)
         p = self.spec.p
+        rows, B = _binom_rows(p)
+        left, right = self.terms.items(), other.terms.items()
+        if caps is not None:
+            left = [t for t in left if all(map(lt, t[0], caps))]
+            right = [t for t in right if all(map(lt, t[0], caps))]
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                coeff = c1 * c2 % p
-                mono = []
-                for a, b in zip(m1, m2):
-                    s = a + b
-                    coeff = coeff * binom_lucas(s, a, p) % p
-                    if not coeff:
-                        break
-                    mono.append(s)
-                if coeff:
-                    key = tuple(mono)
+        for m1, c1 in left:
+            nz = [(i, a) for i, a in enumerate(m1) if a]
+            for m2, c2 in right:
+                coeff = c1 * c2
+                for i, a in nz:
+                    b = m2[i]
+                    if b:
+                        s = a + b
+                        t = rows[s][a] if s < B else _binom(s, a, p)
+                        if not t:
+                            break
+                        coeff *= t
+                else:                       # no binomial was 0 mod p
+                    key = tuple(map(add, m1, m2))
                     out[key] = (out.get(key, 0) + coeff) % p
-        return AlgebraElement(self.spec, out)
+        return AlgebraElement._trusted(self.spec, {m: c for m, c in out.items() if c})
 
     # -- structure queries ----------------------------------------------------
 
@@ -352,13 +376,8 @@ class AlgebraElement:
 
     def partial(self, i: int) -> "AlgebraElement":
         """The partial derivative d/dx_i: x_i^(k) -> x_i^(k-1)."""
-        out = {}
-        p = self.spec.p
-        for m, c in self.terms.items():
-            if m[i]:
-                key = m[:i] + (m[i] - 1,) + m[i + 1:]
-                out[key] = (out.get(key, 0) + c) % p
-        return AlgebraElement(self.spec, out)
+        return AlgebraElement._trusted(self.spec, {
+            m[:i] + (m[i] - 1,) + m[i + 1:]: c for m, c in self.terms.items() if m[i]})
 
     def linear_part(self) -> list:
         """Coefficients of x_1, ..., x_n."""

@@ -186,14 +186,15 @@ def _contact_invariants(cand: ContactCandidate) -> ContactInvariant:
 # Contact recognition.
 # ---------------------------------------------------------------------------
 
-def is_contact(cand: ContactCandidate) -> bool:
-    """Unit bordered determinant; decided on constant terms (exact)."""
+def is_contact(cand: ContactCandidate, domega: DiffForm | None = None) -> bool:
+    """Unit bordered determinant; decided on constant terms (exact).
+    `domega`, if given, is d omega, already computed by the caller."""
     spec = cand.spec
     if spec.p == 2:
         raise ValueError("contact recognition requires p > 2")
     n = spec.n
     x = constant_covector(cand.form)
-    db = constant_bivector(cand.form.d())
+    db = constant_bivector(cand.form.d() if domega is None else domega)
     M = gfp.zeros(n + 1, n + 1)
     M[:n, :n] = db
     M[:n, n] = x
@@ -204,9 +205,10 @@ def is_contact(cand: ContactCandidate) -> bool:
 def contact_split(cand: ContactCandidate):
     """F_p-bases of P = ker(delta -> delta . d omega) and
     Q = ker(delta -> omega(delta)) inside W(F)."""
-    if not is_contact(cand):
+    domega = cand.form.d()
+    if not is_contact(cand, domega):
         raise ValueError("not a contact form")
-    rows_P, rows_Q = _contact_matrices(cand)
+    rows_P, rows_Q = _contact_matrices(cand, domega)
     P = gfp.nullspace(rows_P, cand.spec.p)
     Q = gfp.nullspace(rows_Q, cand.spec.p)
     assert P.shape[0] + Q.shape[0] == rows_P.shape[1], \
@@ -214,7 +216,7 @@ def contact_split(cand: ContactCandidate):
     return P, Q
 
 
-def _contact_matrices(cand: ContactCandidate):
+def _contact_matrices(cand: ContactCandidate, domega: DiffForm):
     """The matrices of delta -> delta . d omega (1-form coordinates) and
     delta -> omega(delta) on W(F), as int16 arrays.
 
@@ -234,7 +236,7 @@ def _contact_matrices(cand: ContactCandidate):
     def block(i):
         return slice(i * dimO, (i + 1) * dimO)
 
-    for (j, k), g in cand.form.d().terms.items():
+    for (j, k), g in domega.terms.items():
         G = multiplication_matrix(g)
         rows_P[block(k), block(j)] = G
         rows_P[block(j), block(k)] = -G % p

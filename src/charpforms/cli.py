@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .flagbilinear import (admissible_grids, brute_force_orbit_partition,
                            flagged_from_dims, grid_fibers, invariants_nqt)
 from .forms import DiffForm, cohomology_basis, cohomology_dims, render_form
 from .gfp import check_prime
-from .jsonio import (FormatError, form_from_json, form_to_json,
+from .jsonio import (FormatError, _ints, form_from_json, form_to_json,
                      invariants_to_json)
 
 
@@ -126,6 +127,10 @@ def cmd_flag_invariants(args) -> int:
         check_prime(p)
     except ValueError as ex:
         raise FormatError("p", str(ex))
+    if not _ints(dims):
+        raise FormatError("flag_dims", "expected a list of integers")
+    if not all(isinstance(row, list) and _ints(row) for row in mat):
+        raise FormatError("matrix", "expected a list of integer rows")
     fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64))
     grid = invariants_nqt(fb)
     _emit({"p": p, "flag_dims": dims, "grid": grid.tolist()})
@@ -208,7 +213,9 @@ def cmd_selftest(args) -> int:
     return 2 if failures else 0
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="charpforms",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -262,8 +269,11 @@ def main(argv=None) -> int:
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("-o", "--output")
     s.set_defaults(fn=cmd_random)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except FormatError as ex:

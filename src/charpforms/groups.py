@@ -7,7 +7,9 @@ read off y_i - x_i monomial-wise.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,14 +94,23 @@ class Automorphism:
             for i, a in enumerate(mono):
                 if a:
                     out = out * self._image_power(i, a)
-        self._mono_cache[mono] = out
+            self._mono_cache[mono] = out
         return out
 
     def apply_to_element(self, f: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement.zero(self.spec)
+        """sum c * sigma(x^(m)), summed in one dict; a coefficient that
+        cancels is deleted at once, so the term order is that of adding the
+        scaled images one by one."""
+        p = self.spec.p
+        out: dict = {}
         for mono, c in f.terms.items():
-            out = out + self._image_mono(mono).scale(c)
-        return out
+            for m, a in self._image_mono(mono).terms.items():
+                v = (out.get(m, 0) + a * c) % p
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return AlgebraElement._trusted(self.spec, out)
 
     def apply_to_form(self, omega: DiffForm) -> DiffForm:
         dys = [d_element(y) for y in self.images]
@@ -121,28 +132,14 @@ class Automorphism:
     def invert(self) -> "Automorphism":
         """Filtration-graded fixed-point iteration for the inverse images."""
         spec = self.spec
-        p = spec.p
-        A = self.linear_matrix()
-        Ainv = gfp.inverse(A, p)
-
-        def linear_sub(f: AlgebraElement) -> AlgebraElement:
-            # substitute x_j -> sum_k Ainv[j][k] x_k, i.e. apply the linear
-            # automorphism with matrix Ainv
-            imgs = []
-            for j in range(spec.n):
-                img = AlgebraElement(spec, {
-                    tuple(1 if k == c else 0 for k in range(spec.n)): int(Ainv[j, c])
-                    for c in range(spec.n) if Ainv[j, c]})
-                imgs.append(img)
-            return Automorphism(spec, imgs).apply_to_element(f)
-
+        lin = linear_automorphism(spec, gfp.inverse(self.linear_matrix(), spec.p))
         gens = [AlgebraElement.generator(spec, i) for i in range(spec.n)]
-        z = [linear_sub(g) for g in gens]
+        z = [lin.apply_to_element(g) for g in gens]
         for _ in range(spec.top_degree + 2):
             residual = [self.apply_to_element(zi) - g for zi, g in zip(z, gens)]
             if not any(residual):
                 break
-            z = [zi - linear_sub(r) for zi, r in zip(z, residual)]
+            z = [zi - lin.apply_to_element(r) for zi, r in zip(z, residual)]
         else:
             raise AssertionError("inverse iteration did not converge")
         return Automorphism(spec, z)
@@ -198,12 +195,14 @@ def from_derivation(delta: Derivation, j: int = 1) -> Automorphism:
 
 # -- random sampling ------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _allowed_higher_monos(spec: FlagSpec, i: int, min_degree: int = 2,
-                          pure_ok: bool = True):
-    """Monomials of degree >= min_degree admissible in the image of x_i."""
-    out = []
+                          pure_ok: bool = True) -> array:
+    """Indices, in `spec.monomials()` order, of the monomials of degree
+    >= min_degree admissible in the image of x_i."""
+    out = array("I")
     m_i = spec.heights[i]
-    for mono in spec.monomials():
+    for j, mono in enumerate(spec.monomials()):
         deg = sum(mono)
         if deg < min_degree:
             continue
@@ -214,7 +213,7 @@ def _allowed_higher_monos(spec: FlagSpec, i: int, min_degree: int = 2,
             vi, l = pw
             if l + m_i - 1 >= spec.heights[vi]:
                 continue
-        out.append(mono)
+        out.append(j)
     return out
 
 
@@ -260,7 +259,7 @@ def random_in(rng, spec: FlagSpec, group: str = "G", j: int = 0,
         for _ in range(extra_terms):
             if not window:
                 break
-            mono = rng.choice(window)
+            mono = np.unravel_index(rng.choice(window), spec.caps)
             extra = extra + AlgebraElement.monomial(spec, mono, rng.randrange(1, p))
         images.append(base[i] + extra)
     return Automorphism(spec, images)
@@ -274,15 +273,7 @@ def transport_u_class(sigma: Automorphism, e) -> np.ndarray:
     Computes d(sigma(sum e_i x_i)), a closed 1-form, and returns its
     dE-component.  Elements of G' act trivially.
     """
-    spec = sigma.spec
-    g = AlgebraElement.zero(spec)
-    for i, c in enumerate(e):
-        if int(c) % spec.p:
-            g = g + sigma.images[i].scale(int(c))
-    if not g:
-        return np.zeros(spec.n, dtype=np.int64)
-    e_new, _ = decompose_z1(d_element(g))
-    return e_new
+    return transport_witness(sigma, e)[0]
 
 
 def transport_witness(sigma: Automorphism, e):

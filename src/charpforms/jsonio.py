@@ -205,7 +205,7 @@ def invariants_from_json(data: dict):
     rec = _need(data, "invariants", dict)
     grid = tuple(tuple(int(x) for x in row) for row in _need(rec, "grid", list))
     if kind == "type2":
-        return Type2Invariant(int(rec["k"]), int(rec["l"]), grid)
+        return Type2Invariant(_need(rec, "k", int), _need(rec, "l", int), grid)
     if kind == "contact":
-        return ContactInvariant(int(rec["k"]), grid)
+        return ContactInvariant(_need(rec, "k", int), grid)
     raise FormatError("kind", "type1|type2|contact")

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charpforms.algebra import (
     AlgebraElement, C_k_basis_count, FlagSpec, OutOfAlgebraError,
@@ -334,3 +336,46 @@ def test_multiplication_matrix_matches_product(p, heights):
     assert not np.any(multiplication_matrix(AlgebraElement.zero(spec)))
     one = multiplication_matrix(AlgebraElement.one(spec))
     assert np.array_equal(one, np.eye(spec.dim, dtype=np.int64))
+
+
+def product_by_pairs(f, g, caps):
+    """Reference product: one math.comb per coordinate of every pair of
+    terms, and with caps a pair is dropped once some exponent sum reaches
+    its cap; coefficients accumulate in pair order and cancelled ones are
+    dropped at the end, so the term order is pinned down too."""
+    p = f.spec.p
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            if caps is not None and any(s >= cap for s, cap in zip(mono, caps)):
+                continue
+            coeff = c1 * c2
+            for a, s in zip(m1, mono):
+                coeff = coeff * math.comb(s, a) % p
+            if coeff:
+                out[mono] = (out.get(mono, 0) + coeff) % p
+    return [(m, c) for m, c in out.items() if c]
+
+
+@st.composite
+def product_operands(draw):
+    """Two elements over p in {2, 3, 5, 13}, up to three coordinates of
+    height up to 3, with exponents inside the caps and up to three times
+    past them (so the free product leaves the binomial table's rows)."""
+    p = draw(st.sampled_from([2, 3, 5, 13]))
+    heights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    spec = FlagSpec(p, heights)
+    monos = st.tuples(*(st.one_of(st.integers(0, 2), st.integers(0, cap - 1),
+                                  st.integers(0, 3 * cap)) for cap in spec.caps))
+    f, g = (AlgebraElement(spec, draw(st.dictionaries(
+        monos, st.integers(1, p - 1), max_size=6))) for _ in range(2))
+    return f, g
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_operands())
+def test_products_match_per_pair_reference(operands):
+    f, g = operands
+    assert list((f * g).terms.items()) == product_by_pairs(f, g, f.spec.caps)
+    assert list(f.mul_free(g).terms.items()) == product_by_pairs(f, g, None)

@@ -91,7 +91,7 @@ def _contact_matrices_by_columns(cand):
 def test_contact_split_matches_per_column_build(p, heights, seed):
     cand = random_form("contact", FlagSpec(p, heights), seed)
     ref_P, ref_Q = _contact_matrices_by_columns(cand)
-    rows_P, rows_Q = _contact_matrices(cand)
+    rows_P, rows_Q = _contact_matrices(cand, cand.form.d())
     assert np.array_equal(rows_P, ref_P) and np.array_equal(rows_Q, ref_Q)
     P, Q = contact_split(cand)
     assert np.array_equal(P, gfp.nullspace(ref_P, p))

@@ -1,15 +1,18 @@
 import json
 import random
 
+import pytest
+
 from charpforms.algebra import AlgebraElement, FlagSpec
 from charpforms.classify import (SymplecticCandidate, invariants,
                                  random_form)
 from charpforms.cli import main
 from charpforms.forms import DiffForm
 from charpforms.groups import random_in
-from charpforms.jsonio import (automorphism_from_json, automorphism_to_json,
-                               form_from_json, form_to_json,
-                               invariants_from_json, invariants_to_json)
+from charpforms.jsonio import (FormatError, automorphism_from_json,
+                               automorphism_to_json, form_from_json,
+                               form_to_json, invariants_from_json,
+                               invariants_to_json)
 
 
 def write_form(tmp_path, cand, name="f.json"):
@@ -53,6 +56,17 @@ def test_descriptor_and_invariants_json():
     inv2 = invariants(t2)
     assert invariants_from_json(json.loads(
         json.dumps(invariants_to_json(inv2)))) == inv2
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"kind": "type2", "invariants": {"l": 1, "grid": [[1]]}}, "k"),
+    ({"kind": "type2", "invariants": {"k": 1, "grid": [[1]]}}, "l"),
+    ({"kind": "contact", "invariants": {"grid": [[1]]}}, "k"),
+    ({"kind": "contact", "invariants": {"k": True, "grid": [[1]]}}, "k")])
+def test_invariants_from_json_missing_field(data, field):
+    with pytest.raises(FormatError) as ex:
+        invariants_from_json(data)
+    assert ex.value.field == field
 
 
 def test_cli_check_and_invariants(tmp_path, capsys):
@@ -217,3 +231,43 @@ def test_cli_selftest(capsys):
                  "--iters", "5"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("field, patch", [
+    ("flag_dims", {"flag_dims": [True, 2]}),
+    ("flag_dims", {"flag_dims": [1, 2.0]}),
+    ("matrix", {"matrix": [[0, 1], [2, False]]}),
+    ("matrix", {"matrix": [[0, 1.5], [2, 0]]}),
+    ("matrix", {"matrix": [[0, 1], "20"]})])
+def test_cli_flag_invariants_rejects_non_integer_entries(tmp_path, capsys,
+                                                         field, patch):
+    path = tmp_path / "m.json"
+    data = {"p": 3, "flag_dims": [1, 2], "matrix": [[0, 1], [2, 0]]}
+    path.write_text(json.dumps(dict(data, **patch)))
+    assert main(["flag-invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_cli_main_twice_in_one_process(tmp_path, capsys):
+    """The parser is built once per process; verbs, help text and usage
+    errors do not depend on which verb ran before."""
+    coh = ["cohomology", "--p", "3", "--heights", "1,1", "--degree", "1"]
+    assert main(coh) == 0
+    first = capsys.readouterr().out
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"p": 3, "flag_dims": [1, 2],
+                                "matrix": [[0, 1], [2, 0]]}))
+    assert main(["flag-invariants", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["grid"] == [[0, 1], [1, 0]]
+    assert main(coh) == 0
+    assert capsys.readouterr().out == first
+    for argv, code in ((["--help"], 0), (["random", "--p", "3"], 2)):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as ex:
+                main(argv)
+            assert ex.value.code == code
+            seen.append(capsys.readouterr())
+        assert seen[0] == seen[1]

@@ -83,6 +83,24 @@ def test_compose_invert():
             assert inv.compose(sigma).is_identity()
 
 
+@pytest.mark.parametrize("p, heights", [(3, (2,)), (13, (1,)), (2, (1, 2)),
+                                        (5, (1, 1)), (3, (1, 2, 1)),
+                                        (5, (1, 1, 1))])
+def test_invert_round_trip(p, heights):
+    """sigma^-1 undoes sigma on both sides and on random elements, and
+    inverting twice gives sigma back, for n = 1, 2, 3."""
+    rng = random.Random(p * 10 + len(heights))
+    s = FlagSpec(p, heights)
+    for group in ("G", "Gprime", "G"):
+        sigma = random_in(rng, s, group)
+        inv = sigma.invert()
+        assert sigma.compose(inv).is_identity()
+        assert inv.compose(sigma).is_identity()
+        assert inv.invert().images == sigma.images
+        f = random_element(rng, s, 4, in_m=False)
+        assert inv.apply_to_element(sigma.apply_to_element(f)) == f
+
+
 def test_apply_to_form_commutes_with_d():
     rng = random.Random(3)
     for p, heights in [(3, (1, 1)), (2, (1, 1)), (5, (1, 1)), (3, (2, 1))]:
