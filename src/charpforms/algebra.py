@@ -14,6 +14,7 @@ coefficient vanishes mod p.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, lt
@@ -353,9 +354,6 @@ class AlgebraElement:
     def in_filtration(self, k: int) -> bool:
         return all(sum(m) >= k for m in self.terms)
 
-    def in_maximal_ideal(self) -> bool:
-        return self.constant_term() == 0
-
     def in_m2(self) -> bool:
         """Membership in m(F)^2: no constant, no pure-power monomials."""
         return all(sum(m) >= 2 and not _is_pure_power(m, self.spec.p)
@@ -393,13 +391,13 @@ class AlgebraElement:
         """f^(p) in the free algebra by the multinomial addition rule."""
         p = self.spec.p
         items = list(self.terms.items())
-        out = AlgebraElement.zero(self.spec)
+        out: dict = {}
 
         def rec(idx, remaining, acc):
-            nonlocal out
             if idx == len(items):
                 if remaining == 0:
-                    out = out + acc
+                    for m, c in acc.terms.items():
+                        out[m] = (out.get(m, 0) + c) % p
                 return
             mono, c = items[idx]
             choices = range(remaining + 1) if idx < len(items) - 1 else [remaining]
@@ -413,7 +411,14 @@ class AlgebraElement:
                 rec(idx + 1, remaining - beta, acc.mul_free(piece))
 
         rec(0, p, AlgebraElement.one(self.spec))
-        return out
+        return AlgebraElement._trusted(self.spec, {m: c for m, c in out.items() if c})
+
+    def _p_power_tower(self, length: int) -> list:
+        """[f, f^(p), f^(p^2), ...] in the free algebra, `length` entries."""
+        powers = [self]
+        for _ in range(length - 1):
+            powers.append(powers[-1]._dp_free_p())
+        return powers
 
     def dp_free(self, r: int) -> "AlgebraElement":
         """f^(r) in the free algebra, for f with zero constant term."""
@@ -424,21 +429,13 @@ class AlgebraElement:
         p = self.spec.p
         if r == 0:
             return AlgebraElement.one(self.spec)
+        # f^(r) = prod_k (f^(p^k))^(d_k) / d_k! over the base-p digits d_k of r
         digits = _digits(r, p)
-        # f^(p^k) by iterating the tower rule; assemble composite r base p
-        powers = [self]
-        for _ in range(len(digits) - 1):
-            powers.append(powers[-1]._dp_free_p())
         out = AlgebraElement.one(self.spec)
-        unit = 1
-        for d, g in zip(digits, powers):
+        for d, g in zip(digits, self._p_power_tower(len(digits))):
             for _ in range(d):
                 out = out.mul_free(g)
-            fact = 1
-            for i in range(2, d + 1):
-                fact = fact * i % p
-            unit = unit * fact % p
-        return out.scale(inv_scalar(unit, p))
+        return out.scale(inv_scalar(math.prod(map(math.factorial, digits)), p))
 
     def divided_power(self, r: int) -> "AlgebraElement":
         """f^(r) inside O(F); raises OutOfAlgebraError if it escapes."""
@@ -450,12 +447,11 @@ class AlgebraElement:
                     raise OutOfAlgebraError(m)
         return out
 
-    def all_dp_interior(self) -> bool:
-        """True iff every divided power f^(r) stays in O(F), i.e. f in m^2."""
-        return self.in_m2()
-
     def exp_interior(self) -> "AlgebraElement":
-        """exp(f) = sum f^(r) for f with all divided powers interior."""
+        """exp(f) = sum_r f^(r) for f in m^2, whose divided powers all stay in
+        O(F).  Splitting r into base-p digits gives the product over the
+        p-power tower g_k = f^(p^k) of sum_{d<p} g_k^d / d!; its terms with
+        r past the top degree vanish, since f^(r) lies in m^(2r)."""
         if self.constant_term():
             raise ValueError("exp needs a zero constant term")
         if not self.in_m2():
@@ -463,27 +459,19 @@ class AlgebraElement:
             raise OutOfAlgebraError(bad, "exp escapes O(F): pure-power term "
                                     f"{bad} has an escaping divided power")
         p = self.spec.p
-        top = self.spec.top_degree
-        digits_len = len(_digits(top, p)) if top else 1
-        powers = [self]
-        for _ in range(digits_len - 1):
-            powers.append(powers[-1]._dp_free_p())
+        one = AlgebraElement.one(self.spec)
         caps = self.spec.caps
-        for g in powers:
+        out = one
+        for g in self._p_power_tower(len(_digits(self.spec.top_degree, p))):
             assert all(a < cap for m in g.terms for a, cap in zip(m, caps)), \
                 "interior divided power escaped"
-        out = AlgebraElement.one(self.spec)
-        for r in range(1, top + 1):
-            term = AlgebraElement.one(self.spec)
-            unit = 1
-            for d, g in zip(_digits(r, p), powers):
-                for _ in range(d):
-                    term = term * g
-                fact = 1
-                for i in range(2, d + 1):
-                    fact = fact * i % p
-                unit = unit * fact % p
-            out = out + term.scale(inv_scalar(unit, p))
+            factor = power = one
+            for d in range(1, p):
+                power = (power * g).scale(inv_scalar(d, p))   # g^d / d!
+                if not power:
+                    break
+                factor = factor + power
+            out = out * factor
         return out
 
     def invert_unit(self) -> "AlgebraElement":
@@ -562,22 +550,12 @@ def render_element(f: AlgebraElement) -> str:
     return " + ".join(parts)
 
 
-_MONO_POOLS: dict = {}
-
-
-def _mono_pool(spec: FlagSpec, in_m: bool, in_m2: bool) -> list:
-    key = (spec.p, spec.heights, in_m, in_m2)
-    pool = _MONO_POOLS.get(key)
-    if pool is None:
-        pool = []
-        for mono in spec.monomials():
-            if (in_m or in_m2) and sum(mono) == 0:
-                continue
-            if in_m2 and (sum(mono) < 2 or _is_pure_power(mono, spec.p)):
-                continue
-            pool.append(mono)
-        _MONO_POOLS[key] = pool
-    return pool
+@lru_cache(maxsize=None)
+def _mono_pool(spec: FlagSpec, in_m: bool, in_m2: bool) -> tuple:
+    """The monomials random_element draws from, in `spec.monomials()` order."""
+    return tuple(m for m in spec.monomials()
+                 if not ((in_m or in_m2) and sum(m) == 0)
+                 and not (in_m2 and (sum(m) < 2 or _is_pure_power(m, spec.p))))
 
 
 def random_element(rng, spec: FlagSpec, max_terms: int = 3, *,

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import gfp
 from .algebra import AlgebraElement, FlagSpec, multiplication_matrix
-from .flagbilinear import (AugmentedInvariant, FlaggedBilinear,
-                           admissible_grids, invariants_contact_pair,
-                           invariants_form_functional)
-from .forms import DiffForm, e_vector_form, h_class
+from .flagbilinear import (FlaggedBilinear, admissible_grids,
+                           invariants_contact_pair, invariants_form_functional)
+from .forms import DiffForm, e_vector_form, h_class, top_monomial
 from .grind import (classify_type1_matrices, descriptor_equal,
-                    synthesize_descriptor_matrices)
+                    height_spaces, synthesize_descriptor_matrices)
 from .groups import Automorphism, random_in, transport_witness
 
 
@@ -68,9 +67,6 @@ class Type2Invariant:
     k: int
     ell: int
     grid: tuple
-
-    def as_augmented(self) -> AugmentedInvariant:
-        return AugmentedInvariant(self.ell, self.grid)
 
 
 @dataclass(frozen=True)
@@ -128,18 +124,6 @@ def is_symplectic(cand: SymplecticCandidate) -> str:
     return "type2" if cand.has_u() else "type1"
 
 
-def height_flag_data(spec: FlagSpec):
-    """The dual flag on V = E^* : V_q spanned by coordinates of height <= q."""
-    r = max(spec.heights)
-    n = spec.n
-    flag = [gfp.empty_space(n)]
-    for q in range(1, r + 1):
-        rows = [i for i in range(n) if spec.heights[i] <= q]
-        flag.append(gfp.row_space(gfp.eye(n)[rows], spec.p)
-                    if rows else gfp.empty_space(n))
-    return tuple(flag)
-
-
 def invariants(cand) -> Type2Invariant | ContactInvariant | Counter:
     """Complete conjugacy invariants of a recognized form."""
     if isinstance(cand, SymplecticCandidate):
@@ -162,7 +146,7 @@ def invariants(cand) -> Type2Invariant | ContactInvariant | Counter:
 def _type2_invariants(spec: FlagSpec, e, b) -> Type2Invariant:
     p = spec.p
     k = min(spec.heights[i] for i in range(spec.n) if int(e[i]) % p)
-    flag = height_flag_data(spec)
+    flag = height_spaces(spec.heights)
     fb = FlaggedBilinear(p, flag, b)
     fac = gfp.make_factor(flag[k - 1], flag[k], p)
     # the functional on V_k/V_{k-1} induced by e (the section basis is made
@@ -177,7 +161,7 @@ def _contact_invariants(cand: ContactCandidate) -> ContactInvariant:
     p = spec.p
     x = constant_covector(cand.form)
     b = constant_bivector(cand.form.d())
-    flag = height_flag_data(spec)
+    flag = height_spaces(spec.heights)
     aug = invariants_contact_pair(p, flag, x, b)
     return ContactInvariant(aug.special, aug.grid)
 
@@ -294,6 +278,18 @@ def _pairing_partition(spec: FlagSpec, grid, exclude: int | None = None):
     return sets, pairing
 
 
+def _type1_form(spec: FlagSpec, a, c) -> SymplecticCandidate:
+    """sum_{i<j} (a_ij + c_ij x_i^(top) x_j^(top)) dx_i ^ dx_j, u-class 0,
+    for antisymmetric a and c reduced mod p."""
+    zero = spec.zero_mono()
+    terms = {}
+    for i, j in itertools.combinations(range(spec.n), 2):
+        top = top_monomial(spec, (i, j))
+        terms[i, j] = AlgebraElement(spec, {zero: int(a[i, j]), top: int(c[i, j])})
+    return SymplecticCandidate(np.zeros(spec.n, dtype=np.int64),
+                               DiffForm(spec, 2, terms))
+
+
 def normal_shape(inv, p: int):
     """The canonical representative of an invariant datum.
 
@@ -303,21 +299,7 @@ def normal_shape(inv, p: int):
     """
     if isinstance(inv, Counter):
         heights, a, c = synthesize_descriptor_matrices(inv, p)
-        spec = FlagSpec(p, heights)
-        terms: dict = {}
-        for i in range(spec.n):
-            for j in range(i + 1, spec.n):
-                coeff = AlgebraElement.zero(spec)
-                if a[i, j]:
-                    coeff = coeff + AlgebraElement.scalar(spec, int(a[i, j]))
-                if c[i, j]:
-                    mono = tuple(spec.caps[l] - 1 if l in (i, j) else 0
-                                 for l in range(spec.n))
-                    coeff = coeff + AlgebraElement(spec, {mono: int(c[i, j])})
-                if coeff:
-                    terms[(i, j)] = coeff
-        body = DiffForm(spec, 2, terms)
-        return SymplecticCandidate(np.zeros(spec.n, dtype=np.int64), body)
+        return _type1_form(FlagSpec(p, heights), a, c)
     if isinstance(inv, Type2Invariant):
         grid = np.asarray(inv.grid, dtype=np.int64)
         if grid[inv.k - 1, inv.ell - 1] == 0:
@@ -425,37 +407,35 @@ def apply_to_candidate(sigma: Automorphism, cand):
     return SymplecticCandidate(e2, body2)
 
 
+def _height_counts(heights) -> list:
+    """dims[q - 1] = the number of variables of height q, q = 1..max."""
+    return [list(heights).count(q) for q in range(1, max(heights) + 1)]
+
+
+def _grid_tuple(grid) -> tuple:
+    return tuple(tuple(int(x) for x in row) for row in grid)
+
+
 def admissible_type2_invariants(heights, p: int):
     """All (k, ell, grid) for the given heights (full row sums, n_kl != 0)."""
-    heights = tuple(heights)
-    r = max(heights)
-    dims = [sum(1 for m in heights if m == q) for q in range(1, r + 1)]
-    out = []
-    for grid in admissible_grids(dims, nondegenerate=True):
-        for k in range(1, r + 1):
-            if not any(m == k for m in heights):
-                continue
-            for ell in range(1, r + 1):
-                if grid[k - 1, ell - 1]:
-                    out.append(Type2Invariant(
-                        k, ell, tuple(tuple(int(x) for x in row) for row in grid)))
-    return out
+    dims = _height_counts(heights)
+    r = len(dims)
+    return [Type2Invariant(k, ell, _grid_tuple(grid))
+            for grid in admissible_grids(dims, nondegenerate=True)
+            for k in range(1, r + 1) if dims[k - 1]
+            for ell in range(1, r + 1) if grid[k - 1, ell - 1]]
 
 
 def admissible_contact_invariants(heights, p: int):
     """All (k, grid) for the given heights per the contact row-sum rule."""
-    heights = tuple(heights)
-    r = max(heights)
-    dims = [sum(1 for m in heights if m == q) for q in range(1, r + 1)]
+    dims = _height_counts(heights)
     out = []
-    for k in range(1, r + 1):
-        if dims[k - 1] == 0:
-            continue
-        qdims = list(dims)
-        qdims[k - 1] -= 1
-        for grid in admissible_grids(qdims, nondegenerate=True):
-            out.append(ContactInvariant(
-                k, tuple(tuple(int(x) for x in row) for row in grid)))
+    for k in range(1, len(dims) + 1):
+        if dims[k - 1]:
+            qdims = list(dims)
+            qdims[k - 1] -= 1
+            out.extend(ContactInvariant(k, _grid_tuple(grid))
+                       for grid in admissible_grids(qdims, nondegenerate=True))
     return out
 
 
@@ -470,29 +450,15 @@ def random_form(kind: str, spec: FlagSpec, seed: int):
         n = spec.n
         if n % 2:
             raise ValueError("type-1 forms need an even number of variables")
-        while True:
-            a = gfp.random_matrix(rng, n, n, p)
-            a = gfp.modp(a - a.T, p)
-            np.fill_diagonal(a, 0)
-            if gfp.det(a, p):
-                break
-        cmat = gfp.random_matrix(rng, n, n, p)
-        cmat = gfp.modp(cmat - cmat.T, p)
-        np.fill_diagonal(cmat, 0)
-        terms: dict = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                coeff = AlgebraElement.zero(spec)
-                if a[i, j]:
-                    coeff = coeff + AlgebraElement.scalar(spec, int(a[i, j]))
-                if cmat[i, j]:
-                    mono = tuple(spec.caps[l] - 1 if l in (i, j) else 0
-                                 for l in range(n))
-                    coeff = coeff + AlgebraElement(spec, {mono: int(cmat[i, j])})
-                if coeff:
-                    terms[(i, j)] = coeff
-        cand = SymplecticCandidate(np.zeros(n, dtype=np.int64),
-                                   DiffForm(spec, 2, terms))
+
+        def alternating():
+            m = gfp.random_matrix(rng, n, n, p)
+            return gfp.modp(m - m.T, p)     # zero diagonal
+
+        a = alternating()
+        while not gfp.det(a, p):
+            a = alternating()
+        cand = _type1_form(spec, a, alternating())
     elif kind == "type2":
         if p == 2 and any(m == 1 for m in spec.heights):
             raise ValueError("type-2 generation at p = 2 needs all heights > 1")

@@ -26,7 +26,8 @@ from .jsonio import (FormatError, _ints, form_from_json, form_to_json,
                      invariants_to_json)
 
 
-def _load_form(path: str):
+def _read_json(path: str) -> dict:
+    """The JSON object in the file at path."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -34,16 +35,46 @@ def _load_form(path: str):
         raise FormatError(path, str(ex))
     except json.JSONDecodeError as ex:
         raise FormatError(f"{path}:{ex.lineno}", ex.msg)
-    cand = form_from_json(data)
+    if not isinstance(data, dict):
+        raise FormatError("<root>", "expected an object")
+    return data
+
+
+def _emit(data, path: str | None = None) -> None:
+    """Canonical JSON (sorted keys, indent 2) to the file at path, or to
+    stdout."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _int_list(text: str, field: str) -> list:
+    """The integers of a comma-separated option value."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise FormatError(field, f"expected comma-separated integers, got {text!r}")
+
+
+def _flag_dims(dims, field: str) -> list:
+    """Cumulative flag dimensions: a nonempty, nondecreasing list of
+    integers >= 0."""
+    if not dims or not _ints(dims) or dims[0] < 0 or \
+            any(a > b for a, b in zip(dims, dims[1:])):
+        raise FormatError(field, "expected a nonempty nondecreasing list of "
+                                 "integers >= 0")
+    return dims
+
+
+def _load_form(path: str):
+    cand = form_from_json(_read_json(path))
     if isinstance(cand, DiffForm):
         raise FormatError("degree", f"expected 1 (contact) or 2 (symplectic), "
                                     f"got {cand.degree}")
     return cand
-
-
-def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def cmd_check(args) -> int:
@@ -68,13 +99,7 @@ def cmd_normalize(args) -> int:
         _emit({"kind": "no"})
         return 1
     shape = normal_shape(invariants(cand), cand.spec.p)
-    payload = form_to_json(shape)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        _emit(payload)
+    _emit(form_to_json(shape), args.output)
     return 0
 
 
@@ -87,20 +112,20 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    heights = tuple(int(x) for x in args.heights.split(","))
+    heights = _int_list(args.heights, "heights")
     spec = FlagSpec(args.p, heights)
     dims = cohomology_dims(spec)
     k = args.degree
     if k < 0 or k > spec.n:
         raise FormatError("degree", f"outside 0..{spec.n}")
     classes = [render_form(z) for z in cohomology_basis(spec, k)]
-    _emit({"p": spec.p, "heights": list(heights), "degree": k,
+    _emit({"p": spec.p, "heights": heights, "degree": k,
            "dim": dims[k], "classes": classes})
     return 0
 
 
 def cmd_bruteforce(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
+    dims = _flag_dims(_int_list(args.dims, "dims"), "dims")
     orbits = brute_force_orbit_partition(args.p, dims)
     fibers = grid_fibers(args.p, dims)
     agree = sorted(map(sorted, orbits)) == sorted(map(sorted, fibers.values()))
@@ -112,11 +137,7 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_flag_invariants(args) -> int:
-    try:
-        with open(args.matrix) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
-        raise FormatError(args.matrix, str(ex))
+    data = _read_json(args.matrix)
     p = data.get("p")
     dims = data.get("flag_dims")
     mat = data.get("matrix")
@@ -127,8 +148,7 @@ def cmd_flag_invariants(args) -> int:
         check_prime(p)
     except ValueError as ex:
         raise FormatError("p", str(ex))
-    if not _ints(dims):
-        raise FormatError("flag_dims", "expected a list of integers")
+    _flag_dims(dims, "flag_dims")
     if not all(isinstance(row, list) and _ints(row) for row in mat):
         raise FormatError("matrix", "expected a list of integer rows")
     fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64))
@@ -138,17 +158,9 @@ def cmd_flag_invariants(args) -> int:
 
 
 def cmd_random(args) -> int:
-    heights = tuple(int(x) for x in args.heights.split(","))
-    spec = FlagSpec(args.p, heights)
+    spec = FlagSpec(args.p, _int_list(args.heights, "heights"))
     seed = args.seed if args.seed is not None else _default_seed()
-    cand = random_form(args.kind, spec, seed)
-    payload = form_to_json(cand)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        _emit(payload)
+    _emit(form_to_json(random_form(args.kind, spec, seed)), args.output)
     return 0
 
 
@@ -276,10 +288,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as ex:
+    except (ValueError, OSError) as ex:      # FormatError is a ValueError
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

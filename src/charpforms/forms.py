@@ -10,6 +10,8 @@ are answered block by block, exactly.
 from __future__ import annotations
 
 import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -480,24 +482,13 @@ def eta_form(spec: FlagSpec, e) -> DiffForm:
 # are computed once and weighted by multiplicity.
 # ---------------------------------------------------------------------------
 
-_PATTERN_COUNTS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _pattern_counts(spec: FlagSpec) -> dict:
     """Multiplicities of the residue zero-patterns; w_i = 0 happens once per
     coordinate, so the count is a product of (1 or cap_i - 1) factors."""
-    key = (spec.p, spec.heights)
-    out = _PATTERN_COUNTS.get(key)
-    if out is None:
-        out = {}
-        for pattern in itertools.product((False, True), repeat=spec.n):
-            mult = 1
-            for i, z in enumerate(pattern):
-                mult *= 1 if z else spec.caps[i] - 1
-            if mult:
-                out[pattern] = mult
-        _PATTERN_COUNTS[key] = out
-    return out
+    return {pattern: math.prod(1 if z else cap - 1
+                               for z, cap in zip(pattern, spec.caps))
+            for pattern in itertools.product((False, True), repeat=spec.n)}
 
 
 def twisted_cohomology_dims(spec: FlagSpec, e) -> list[int]:

@@ -543,10 +543,6 @@ def orthogonal_subspace(b, M, p: int) -> np.ndarray:
     return nullspace(M @ b.T, p)
 
 
-def pairing_nondegenerate(b, p: int) -> bool:
-    return is_invertible(b, p)
-
-
 def orthogonal_flag(b, F: FlagChain, p: int) -> FlagChain:
     """The b-orthogonals of the spaces of F (F on the right factor of b).
 
@@ -622,7 +618,7 @@ def induced_pairing(b, flag_V: FlagChain, flag_U: FlagChain, i, j, p: int) -> np
     L1 = modp(lf.lift() @ flag_V.factor(i).lift(), p)
     L2 = modp(rf.lift() @ flag_U.factor(j).lift(), p)
     out = modp(L1 @ modp(b, p) @ L2.T, p)
-    if not pairing_nondegenerate(out, p):
+    if not is_invertible(out, p):
         raise ValueError("induced pairing is degenerate")
     return out
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp
-from .gfp import (INF, FlagChain, companion, empty_space, eye, make_flag,
-                  modp, moved_flag, only_inf_flag, orthogonal_flag,
-                  pairing_nondegenerate, pdeg, pfactor, pmul, ppow,
-                  restrict_flag, row_space, zeros)
+from .gfp import (INF, FlagChain, companion, empty_space, eye, is_invertible,
+                  make_flag, modp, moved_flag, only_inf_flag, orthogonal_flag,
+                  pdeg, pfactor, pmul, ppow, restrict_flag, row_space, zeros)
 
 
 def _label_key(q):
@@ -64,14 +63,14 @@ class AState:
             pb = self.b[vid]
             assert pb.shape == (cell.dim, self.v[cell.partner].dim)
             assert np.array_equal(self.b[cell.partner], modp(-pb.T, self.p))
-            assert pairing_nondegenerate(pb, self.p) or cell.dim == 0
+            assert is_invertible(pb, self.p) or cell.dim == 0
             if cell.partner == vid:
                 assert not np.any(np.diagonal(pb))
         targets = {}
         for (vid, q), (wid, r, N) in self.nu.items():
             src = self.v[vid].flag.factor(q)
             dst = self.w[wid].flag.factor(r)
-            assert N.shape == (dst.dim, src.dim) and gfp.is_invertible(N, self.p)
+            assert N.shape == (dst.dim, src.dim) and is_invertible(N, self.p)
             assert (wid, r) not in targets
             targets[(wid, r)] = (vid, q)
         for wid, cell in self.w.items():
@@ -81,7 +80,7 @@ class AState:
                 pc = self.c[wid]
                 assert pc.shape == (cell.dim, self.w[cell.partner].dim)
                 assert np.array_equal(self.c[cell.partner], modp(-pc.T, self.p))
-                assert pairing_nondegenerate(pc, self.p)
+                assert is_invertible(pc, self.p)
 
     def is_primitive(self) -> bool:
         return all(c.flag.is_trivial() for c in self.v.values()) and \
@@ -122,6 +121,16 @@ class BState:
     a_state: AState
     orth: dict               # ("v", vid) / ("w", wid) -> partner flag's
                              # orthogonal under the cell's pairing
+    rid_of: dict             # (vid, label) -> rid of that factor
+    sid_of: dict             # (wid, label) -> sid of that factor
+
+
+def height_spaces(heights) -> tuple:
+    """The height flag on F_p^n: space q (0 <= q <= max height) is spanned
+    by the coordinate vectors of the variables of height <= q."""
+    n = len(heights)
+    return tuple(eye(n)[[i for i in range(n) if heights[i] <= q]]
+                 for q in range(max(heights) + 1))
 
 
 def build_type1_object(p: int, heights, b, c) -> AState:
@@ -135,17 +144,12 @@ def build_type1_object(p: int, heights, b, c) -> AState:
     n = len(heights)
     b = modp(b, p)
     c = modp(c, p)
-    if not pairing_nondegenerate(modp(b, p), p):
+    if not is_invertible(b, p):
         raise ValueError("constant part is degenerate")
     if np.any((b + b.T) % p) or np.any(np.diagonal(b) % p) or \
             np.any((c + c.T) % p) or np.any(np.diagonal(c) % p):
         raise ValueError("forms must be antisymmetric with zero diagonal")
-    top = max(heights)
-    spaces = []
-    for q in range(top + 1):
-        rows = [i for i in range(n) if heights[i] <= q]
-        spaces.append(eye(n)[rows])
-    flag = make_flag(n, "inc", spaces, p)
+    flag = make_flag(n, "inc", height_spaces(heights), p)
     st = AState(
         p=p, parity=0,
         v={0: VCell(n, None, flag, 0)},
@@ -198,7 +202,7 @@ def grind_A_to_B(A: AState) -> BState:
     for (vid, q), (wid, r, N) in A.nu.items():
         mu[rid_of[(vid, q)]] = (sid_of[(wid, r)], N)
     assert len(mu) == len(r_cells) == len(s_cells), "nu is not cell-bijective"
-    return BState(p, A.parity, r_cells, s_cells, mu, A, orth)
+    return BState(p, A.parity, r_cells, s_cells, mu, A, orth, rid_of, sid_of)
 
 
 def _transfer_source_label(direction: str, t):
@@ -232,6 +236,7 @@ def grind_B_to_A(B: BState) -> AState:
     A = B.a_state
     vid_of: dict = {}
     wid_of: dict = {}
+    rid_by_sid = {sid: rid for rid, (sid, _) in B.mu.items()}
     v_cells: dict = {}
     w_cells: dict = {}
     b_new: dict = {}
@@ -250,7 +255,7 @@ def grind_B_to_A(B: BState) -> AState:
     # w side: factors of the L flags
     for sid in sorted(B.s):
         sc = B.s[sid]
-        rid2 = next(r for r, (s2, _) in B.mu.items() if s2 == sid)
+        rid2 = rid_by_sid[sid]
         moved = moved_flag(B.mu[rid2][1], B.r[rid2].flag, p, mode="image")
         for t in sorted(sc.flag.factor_labels(), key=_label_key):
             H = restrict_flag(moved, sc.flag, t)
@@ -263,8 +268,7 @@ def grind_B_to_A(B: BState) -> AState:
         rc = B.r[rid]
         X, q = rc.parent, rc.label
         Xbar = A.v[X].partner
-        rid2 = next(r for r, c2 in B.r.items()
-                    if c2.parent == Xbar and c2.label == t)
+        rid2 = B.rid_of[(Xbar, t)]
         vid2 = vid_of.get((rid2, q))
         assert vid2 is not None, "b-partner factor missing"
         v_cells[vid].partner = vid2
@@ -275,7 +279,7 @@ def grind_B_to_A(B: BState) -> AState:
                                   rc2.flag, q, rc2.lift, p)
         pb = modp(L1 @ A.b[X] @ L2.T, p)
         b_new[vid] = pb
-        assert pairing_nondegenerate(pb, p), "new b-pairing degenerate"
+        assert is_invertible(pb, p), "new b-pairing degenerate"
     # partners and pairings on the w side; missing partner cells mean the
     # factor came from a radical slot and the new cell is tagged
     for (sid, t), wid in wid_of.items():
@@ -284,8 +288,7 @@ def grind_B_to_A(B: BState) -> AState:
         if sc.tagged:
             continue
         Zbar = A.w[Z].partner
-        sid2 = next((s2 for s2, c2 in B.s.items()
-                     if c2.parent == Zbar and c2.label == t), None)
+        sid2 = B.sid_of.get((Zbar, t))
         if sid2 is None:
             # only the forced radical slot of a degenerate starting c can
             # lack its partner cell; it lives at the infinity label
@@ -301,7 +304,7 @@ def grind_B_to_A(B: BState) -> AState:
         pc = modp(L1 @ A.c[Z] @ L2.T, p)
         w_cells[wid].partner = wid2
         c_new[wid] = pc
-        assert pairing_nondegenerate(pc, p), "new c-pairing degenerate"
+        assert is_invertible(pc, p), "new c-pairing degenerate"
     # nu: factor l of v-cell (rid, t) -> factor t of w-cell (mu(rid), l)
     for (rid, t), vid in vid_of.items():
         sid, N = B.mu[rid]

@@ -28,11 +28,6 @@ class Derivation:
         self.coeffs = tuple(self.coeffs)
         assert len(self.coeffs) == self.spec.n
 
-    def in_stabilizer(self) -> bool:
-        """Membership in g(F) = sum C_{m_i-1} d_i."""
-        return all(f.in_C_k(self.spec.heights[i] - 1) if f else True
-                   for i, f in enumerate(self.coeffs))
-
     def in_gprime(self, j: int = 0) -> bool:
         """Membership in g'(F)_j = (m^2 ∩ m^(j+1)) W(F)."""
         return all((not f) or (f.in_m2() and f.in_filtration(j + 1))

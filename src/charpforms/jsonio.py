@@ -58,23 +58,28 @@ def element_to_json(f: AlgebraElement) -> list:
     return [{"coeff": int(c), "mono": list(m)} for m, c in f.sorted_terms()]
 
 
+def _add_term(spec: FlagSpec, t, field: str, terms: dict) -> None:
+    """Check the term record t ({"coeff", "mono"}) and add it into terms."""
+    if not isinstance(t, dict):
+        raise FormatError(field, "expected a term record")
+    mono = t.get("mono")
+    coeff = t.get("coeff")
+    if not isinstance(mono, list) or len(mono) != spec.n or not _ints(mono):
+        raise FormatError(f"{field}.mono", "bad exponent vector")
+    if not _ints([coeff]):
+        raise FormatError(f"{field}.coeff", "expected an integer")
+    mono = tuple(mono)
+    if any(a < 0 or a >= cap for a, cap in zip(mono, spec.caps)):
+        raise FormatError(f"{field}.mono", "exponent out of range")
+    terms[mono] = terms.get(mono, 0) + coeff
+
+
 def element_from_json(spec: FlagSpec, data, field: str = "element") -> AlgebraElement:
     if not isinstance(data, list):
         raise FormatError(field, "expected a list of terms")
-    terms = {}
+    terms: dict = {}
     for i, t in enumerate(data):
-        if not isinstance(t, dict):
-            raise FormatError(f"{field}[{i}]", "expected a term record")
-        mono = t.get("mono")
-        coeff = t.get("coeff")
-        if not isinstance(mono, list) or len(mono) != spec.n or not _ints(mono):
-            raise FormatError(f"{field}[{i}].mono", "bad exponent vector")
-        if not _ints([coeff]):
-            raise FormatError(f"{field}[{i}].coeff", "expected an integer")
-        mono = tuple(mono)
-        if any(a < 0 or a >= cap for a, cap in zip(mono, spec.caps)):
-            raise FormatError(f"{field}[{i}].mono", "exponent out of range")
-        terms[mono] = (terms.get(mono, 0) + coeff) % spec.p
+        _add_term(spec, t, f"{field}[{i}]", terms)
     return AlgebraElement(spec, terms)
 
 
@@ -114,9 +119,8 @@ def form_from_json(data: dict):
     if not isinstance(u, list) or len(u) != spec.n or \
             not _ints(u):
         raise FormatError("u_class", "expected an integer vector of length n")
-    raw = _need(data, "terms", list)
-    terms: dict = {}
-    for i, t in enumerate(raw):
+    by_wedge: dict = {}          # wedge -> {mono: coefficient sum}
+    for i, t in enumerate(_need(data, "terms", list)):
         if not isinstance(t, dict):
             raise FormatError(f"terms[{i}]", "expected a term record")
         wedge = t.get("wedge")
@@ -125,9 +129,9 @@ def form_from_json(data: dict):
                 any(i2 < 1 or i2 > spec.n for i2 in wedge):
             raise FormatError(f"terms[{i}].wedge", "bad wedge index list")
         I = tuple(i2 - 1 for i2 in wedge)
-        piece = element_from_json(spec, [t], field=f"terms[{i}]")
-        terms[I] = terms.get(I, AlgebraElement.zero(spec)) + piece
-    form = DiffForm(spec, degree, terms)
+        _add_term(spec, t, f"terms[{i}]", by_wedge.setdefault(I, {}))
+    form = DiffForm(spec, degree, {I: AlgebraElement(spec, terms)
+                                   for I, terms in by_wedge.items()})
     if degree == 2:
         return SymplecticCandidate(np.array(u, dtype=np.int64), form)
     if any(c % spec.p for c in u):

@@ -379,3 +379,55 @@ def test_products_match_per_pair_reference(operands):
     f, g = operands
     assert list((f * g).terms.items()) == product_by_pairs(f, g, f.spec.caps)
     assert list(f.mul_free(g).terms.items()) == product_by_pairs(f, g, None)
+
+
+def exp_by_digit_sum(f):
+    """Reference exp: sum over r = 1..top of f^(r), each assembled from the
+    base-p digits d_k of r as prod_k (f^(p^k))^(d_k) / d_k!."""
+    spec = f.spec
+    p = spec.p
+    one = AlgebraElement.one(spec)
+    powers = [f]
+    while p ** len(powers) <= spec.top_degree:
+        powers.append(powers[-1].dp_free(p))
+    out = one
+    for r in range(1, spec.top_degree + 1):
+        term, unit = one, 1
+        for k, g in enumerate(powers):
+            d = r // p ** k % p
+            for _ in range(d):
+                term = term * g
+            unit *= math.factorial(d)
+        out = out + term.scale(pow(unit, -1, p))
+    return out
+
+
+def _in_m2(mono, p):
+    """Degree >= 2 and not a pure power x_i^(p^l)."""
+    nz = [a for a in mono if a]
+    if len(nz) == 1:
+        a = nz[0]
+        while a % p == 0:
+            a //= p
+        if a == 1:
+            return False
+    return sum(mono) >= 2
+
+
+@st.composite
+def m2_elements(draw):
+    """An element of m^2 over p in {2, 3, 5, 13}, up to three coordinates
+    of height up to 3 (top degree <= 250, to keep the reference fast)."""
+    p = draw(st.sampled_from([2, 3, 5, 13]))
+    heights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda hs: sum(p ** m - 1 for m in hs) <= 250)))
+    spec = FlagSpec(p, heights)
+    monos = st.tuples(*(st.integers(0, cap - 1) for cap in spec.caps))
+    terms = draw(st.dictionaries(monos, st.integers(1, p - 1), max_size=4))
+    return AlgebraElement(spec, {m: c for m, c in terms.items() if _in_m2(m, p)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(m2_elements())
+def test_exp_matches_digit_sum_reference(f):
+    assert f.exp_interior() == exp_by_digit_sum(f)

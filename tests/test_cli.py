@@ -1,7 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charpforms.algebra import AlgebraElement, FlagSpec
 from charpforms.classify import (SymplecticCandidate, invariants,
@@ -238,9 +241,14 @@ def test_cli_selftest(capsys):
     ("flag_dims", {"flag_dims": [1, 2.0]}),
     ("matrix", {"matrix": [[0, 1], [2, False]]}),
     ("matrix", {"matrix": [[0, 1.5], [2, 0]]}),
-    ("matrix", {"matrix": [[0, 1], "20"]})])
+    ("matrix", {"matrix": [[0, 1], "20"]}),
+    ("flag_dims", {"flag_dims": []}),
+    ("flag_dims", {"flag_dims": [2, 1]}),
+    ("flag_dims", {"flag_dims": [-1, 2]})])
 def test_cli_flag_invariants_rejects_non_integer_entries(tmp_path, capsys,
                                                          field, patch):
+    """Non-integer entries, and flag dimensions that are empty, negative or
+    decreasing (an empty list used to raise IndexError, exit 1)."""
     path = tmp_path / "m.json"
     data = {"p": 3, "flag_dims": [1, 2], "matrix": [[0, 1], [2, 0]]}
     path.write_text(json.dumps(dict(data, **patch)))
@@ -271,3 +279,91 @@ def test_cli_main_twice_in_one_process(tmp_path, capsys):
             assert ex.value.code == code
             seen.append(capsys.readouterr())
         assert seen[0] == seen[1]
+
+
+def form_by_terms(spec, degree, records):
+    """Reference reader: one single-term form per record, summed."""
+    out = DiffForm(spec, degree, {})
+    for t in records:
+        I = tuple(i - 1 for i in t["wedge"])
+        piece = AlgebraElement(spec, {tuple(t["mono"]): t["coeff"]})
+        out = out + DiffForm(spec, degree, {I: piece})
+    return out
+
+
+def _form_of(cand):
+    return getattr(cand, "body", getattr(cand, "form", cand))
+
+
+@st.composite
+def form_records(draw):
+    """A form file whose term list repeats (wedge, mono) pairs drawn from a
+    small pool, with negative and out-of-range coefficients, and then
+    cancels every term of some wedges (possibly all of them)."""
+    p = draw(st.sampled_from([2, 3, 5, 13]))
+    heights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    spec = FlagSpec(p, heights)
+    degree = draw(st.integers(0, spec.n))
+    wedges = [tuple(w) for w in itertools.combinations(range(1, spec.n + 1), degree)]
+    monos = st.tuples(*(st.integers(0, cap - 1) for cap in spec.caps))
+    pool = draw(st.lists(st.tuples(st.sampled_from(wedges), monos),
+                         min_size=1, max_size=4))
+    records = [{"wedge": list(w), "mono": list(m),
+                "coeff": draw(st.integers(-2 * p, 2 * p))}
+               for w, m in draw(st.lists(st.sampled_from(pool), max_size=10))]
+    cancel = draw(st.sets(st.sampled_from(wedges)))
+    records += [dict(t, coeff=-t["coeff"]) for t in records
+                if tuple(t["wedge"]) in cancel]
+    records = draw(st.permutations(records))
+    return {"p": p, "heights": heights, "degree": degree, "terms": records}
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_records(), st.data())
+def test_form_from_json_matches_per_term_reference(data, draw):
+    spec = FlagSpec(data["p"], tuple(data["heights"]))
+    want = form_by_terms(spec, data["degree"], data["terms"])
+    got = _form_of(form_from_json(data))
+    assert got == want
+    if data["terms"]:
+        # a bad term keeps its own index in the diagnostic
+        i = draw.draw(st.integers(0, len(data["terms"]) - 1))
+        for key, value in (("mono", [spec.caps[0]] + [0] * (spec.n - 1)),
+                           ("mono", [0] * (spec.n + 1)), ("coeff", 1.5)):
+            bad = [dict(t) for t in data["terms"]]
+            bad[i][key] = value
+            with pytest.raises(FormatError) as ex:
+                form_from_json(dict(data, terms=bad))
+            assert ex.value.field == f"terms[{i}].{key}"
+
+
+@pytest.mark.parametrize("root", [[1, 2], "matrix", 3])
+def test_cli_flag_invariants_rejects_non_object_root(tmp_path, capsys, root):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(root))
+    assert main(["flag-invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: <root>: expected an object\n"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["bruteforce-flagforms", "--p", "2", "--dims", "2,1"], "dims"),
+    (["bruteforce-flagforms", "--p", "2", "--dims=-1,2"], "dims"),
+    (["bruteforce-flagforms", "--p", "2", "--dims", "1,x"], "dims"),
+    (["cohomology", "--p", "3", "--heights", "1,x", "--degree", "1"], "heights"),
+    (["random", "--kind", "type1", "--p", "3", "--heights", "1,x"], "heights")])
+def test_cli_malformed_lists_exit_2(capsys, argv, field):
+    """Malformed --dims / --heights exit 2 naming the option; a decreasing
+    or negative flag used to print a report and exit 1 (a negative
+    decision)."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_cli_bruteforce_repeated_dims(capsys):
+    """A repeated dimension is a flag with a zero factor, not an error."""
+    assert main(["bruteforce-flagforms", "--p", "2", "--dims", "1,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["fibers_match_orbits"]
