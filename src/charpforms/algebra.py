@@ -267,9 +267,6 @@ class AlgebraElement:
     def constant_term(self) -> int:
         return self.terms.get(self.spec.zero_mono(), 0)
 
-    def is_unit(self) -> bool:
-        return self.constant_term() != 0
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 

@@ -21,9 +21,8 @@ from .classify import (equivalent, invariants, normal_shape, random_form,
 from .flagbilinear import (admissible_grids, brute_force_orbit_partition,
                            flagged_from_dims, grid_fibers, invariants_nqt)
 from .forms import DiffForm, cohomology_basis, cohomology_dims, render_form
-from .gfp import check_prime
-from .jsonio import (FormatError, _ints, form_from_json, form_to_json,
-                     invariants_to_json)
+from .jsonio import (FormatError, _ints, check_p, form_from_json,
+                     form_to_json, invariants_to_json, make_spec)
 
 
 def _read_json(path: str) -> dict:
@@ -113,7 +112,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_cohomology(args) -> int:
     heights = _int_list(args.heights, "heights")
-    spec = FlagSpec(args.p, heights)
+    spec = make_spec(args.p, heights)
     dims = cohomology_dims(spec)
     k = args.degree
     if k < 0 or k > spec.n:
@@ -125,6 +124,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
+    check_p(args.p)
     dims = _flag_dims(_int_list(args.dims, "dims"), "dims")
     orbits = brute_force_orbit_partition(args.p, dims)
     fibers = grid_fibers(args.p, dims)
@@ -144,21 +144,20 @@ def cmd_flag_invariants(args) -> int:
     if not isinstance(p, int) or isinstance(p, bool) \
             or not isinstance(dims, list) or not isinstance(mat, list):
         raise FormatError("<root>", "need p, flag_dims, matrix")
-    try:
-        check_prime(p)
-    except ValueError as ex:
-        raise FormatError("p", str(ex))
-    _flag_dims(dims, "flag_dims")
-    if not all(isinstance(row, list) and _ints(row) for row in mat):
-        raise FormatError("matrix", "expected a list of integer rows")
-    fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64))
+    check_p(p)
+    n = _flag_dims(dims, "flag_dims")[-1]
+    if len(mat) != n or not all(isinstance(row, list) and len(row) == n
+                                and _ints(row) for row in mat):
+        raise FormatError("matrix", f"expected {n} integer rows of length {n} "
+                                    f"(the last flag dimension)")
+    fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64).reshape(n, n))
     grid = invariants_nqt(fb)
     _emit({"p": p, "flag_dims": dims, "grid": grid.tolist()})
     return 0
 
 
 def cmd_random(args) -> int:
-    spec = FlagSpec(args.p, _int_list(args.heights, "heights"))
+    spec = make_spec(args.p, _int_list(args.heights, "heights"))
     seed = args.seed if args.seed is not None else _default_seed()
     _emit(form_to_json(random_form(args.kind, spec, seed)), args.output)
     return 0
@@ -179,6 +178,7 @@ def cmd_selftest(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     rng = _random.Random(seed)
     p = args.p
+    check_p(p)
     n = max(1, args.n)
     heights = tuple(rng.choice([1, 2]) for _ in range(n))
     spec = FlagSpec(p, heights)

@@ -61,14 +61,13 @@ class FlaggedBilinear:
         return gfp.rank(self.b, self.p) == self.dim
 
 
-def coordinate_flag(p: int, dims, total: int | None = None) -> tuple:
+def coordinate_flag(dims) -> tuple:
     """0 ⊆ <e_1..e_{d_1}> ⊆ ... from cumulative dims (last = ambient)."""
-    total = dims[-1] if total is None else total
-    return tuple([empty_space(total)] + [eye(total)[:d] for d in dims])
+    return tuple([empty_space(dims[-1])] + [eye(dims[-1])[:d] for d in dims])
 
 
 def flagged_from_dims(p: int, dims, b) -> FlaggedBilinear:
-    return FlaggedBilinear(p, coordinate_flag(p, dims), b)
+    return FlaggedBilinear(p, coordinate_flag(dims), b)
 
 
 def _orth_chain(fb: FlaggedBilinear) -> list[np.ndarray]:
@@ -455,7 +454,7 @@ def brute_force_orbit_partition(p: int, dims):
 
 def grid_fibers(p: int, dims):
     """Group all antisymmetric forms by their invariant grid."""
-    flag = coordinate_flag(p, dims)
+    flag = coordinate_flag(dims)
     fibers: dict = {}
     for M in all_antisymmetric(p, dims[-1]):
         fb = FlaggedBilinear(p, flag, M)

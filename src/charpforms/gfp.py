@@ -349,31 +349,23 @@ def preimage_rows(M, S, p: int) -> np.ndarray:
 
 
 def quotient_section(sub, sup, p: int) -> np.ndarray:
-    """Greedy-pivot complement basis of `sub` inside `sup` (rows in ambient).
+    """Canonical complement of `sub` inside `sup` (sub ⊆ sup, rows in ambient).
 
-    Reduces the rows of rref(sup) against `sub` in order and keeps the ones
-    that add a new pivot; the chosen rows have zero coordinates at all of
-    sub's pivot columns, so their span meets `sub` trivially.
+    The rref of the vectors of sup that vanish at sub's pivot columns: each
+    row of sup is reduced at those pivots by the rref rows of sub, and the
+    results are eliminated once.
     """
     sub, n = _rows(sub, p)
-    sup, _ = _rows(sup, p)
     reducers = list(zip(_eliminate(sub, n, p), sub))
-    del sup[len(_eliminate(sup, n, p)):]
-    inv = _inverse_table(p)
-    chosen = []
-    for v in sup:
+    rows = []
+    for v in _rows(sup, p)[0]:
         for c, w in reducers:
             f = v[c]
             if f:
                 v = [(x - f * y) % p for x, y in zip(v, w)]
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is not None:
-            a = inv[v[c]]
-            v = [x * a % p for x in v]
-            reducers.append((c, v))
-            chosen.append(v)
-    _eliminate(chosen, n, p)
-    return _matrix(chosen, n)
+        rows.append(v)
+    del rows[len(_eliminate(rows, n, p)):]
+    return _matrix(rows, n)
 
 
 def quotient_projection(sub, section, p: int) -> np.ndarray:
@@ -797,14 +789,15 @@ def irreducibles(p: int, d: int) -> tuple:
 
 
 def pfactor(f, p: int) -> dict:
-    """Factor a monic polynomial into irreducibles: {q: multiplicity}."""
+    """Factor a monic polynomial into irreducibles: {q: multiplicity}.
+
+    Trial division by the irreducibles of degree d while 2d <= deg f: once
+    f has no factor of degree at most half its own, f is irreducible.
+    """
     f = pmonic(f, p)
-    if pdeg(f) == 0:
-        return {}
     out: dict = {}
     d = 1
-    while pdeg(f) > 0:
-        assert d <= pdeg(f), "factorization failed"
+    while 2 * d <= pdeg(f):
         for q in irreducibles(p, d):
             while True:
                 quo, rem = pdivmod(f, q, p)
@@ -813,6 +806,8 @@ def pfactor(f, p: int) -> dict:
                 out[q] = out.get(q, 0) + 1
                 f = quo
         d += 1
+    if pdeg(f) > 0:
+        out[f] = 1
     return out
 
 
@@ -829,7 +824,7 @@ def companion(f, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rational canonical form (Frobenius form) with an explicit witness.
+# Endomorphisms: cyclic subspaces, minimal polynomials, elementary divisors.
 # ---------------------------------------------------------------------------
 
 def krylov_rows(h, v, d: int, p: int) -> np.ndarray:
@@ -886,41 +881,13 @@ def max_vector(h, p: int) -> np.ndarray:
     return v
 
 
-def _cyclic_generators(h, p: int) -> list[tuple[np.ndarray, tuple]]:
-    """Cyclic decomposition generators, local polys in descending divisibility."""
-    n = h.shape[0]
-    if n == 0:
-        return []
-    v = max_vector(h, p)
-    mu = local_min_poly(h, v, p)
-    d = pdeg(mu)
-    Z = krylov_rows(h, v, d, p)
-    if d == n:
-        return [(v, mu)]
-    fac = make_factor(row_space(Z, p), full_space(n), p)
-    section = fac.lift()
-    # induced endomorphism on the quotient in section coordinates
-    hbar = fac.project_vectors(modp(section @ h.T, p)).T
-    out = [(v, mu)]
-    for vbar, f in _cyclic_generators(modp(hbar, p), p):
-        w = modp(vbar @ section, p)
-        # correct w inside the cyclic space so its local polynomial is f
-        fw = modp(peval_matrix(f, h, p) @ w, p)
-        A = modp(peval_matrix(f, h, p) @ Z.T, p)
-        coeffs = solve(A, fw, p)
-        assert coeffs is not None, "cyclic lift failed"
-        w = modp(w - coeffs @ Z, p)
-        assert local_min_poly(h, w, p) == f
-        out.append((w, f))
-    return out
+def elementary_divisors(h, p: int) -> list[tuple]:
+    """Sorted multiset of prime-power divisors q^e of the module of h.
 
-
-def rational_canonical_form(h, p: int):
-    """Invariant factors (ascending divisibility) and a similarity witness.
-
-    Returns (factors, P) with factors[i] | factors[i+1] and P invertible such
-    that inverse(P) @ h @ P is block-diagonal with the companion matrices of
-    the factors, in order.  Singular input is rejected (the classification
+    Read off ranks: for each irreducible factor q of the minimal polynomial,
+    with r_k = rank q(h)^k, there are (r_{k-1} - 2 r_k + r_{k+1}) / deg q
+    summands F_p[x]/q^k; r_k stops falling at the exponent e of q in the
+    minimal polynomial.  Singular input is rejected (the classification
     pipeline only ever needs nonsingular endomorphisms).
     """
     h = modp(h, p)
@@ -929,24 +896,16 @@ def rational_canonical_form(h, p: int):
         raise ValueError("matrix must be square")
     if n and not is_invertible(h, p):
         raise ValueError("matrix is singular")
-    gens = _cyclic_generators(h, p)
-    for (_, f1), (_, f2) in zip(gens, gens[1:]):
-        assert not pmod(f1, f2, p), "divisibility chain broken"
-    gens = gens[::-1]
-    rows = []
-    for v, f in gens:
-        rows.extend(krylov_rows(h, v, pdeg(f), p))
-    P = np.array(rows, dtype=np.int64).T if rows else zeros(n, n)
-    if n:
-        assert is_invertible(P, p)
-    return [f for _, f in gens], P
-
-
-def elementary_divisors(h, p: int) -> list[tuple]:
-    """Sorted multiset of prime-power divisors q^e of the module of h."""
-    factors, _ = rational_canonical_form(h, p)
     out = []
-    for f in factors:
-        for q, e in pfactor(f, p).items():
-            out.append(ppow(q, e, p))
+    for q, e in pfactor(min_poly(h, p), p).items():
+        Q = peval_matrix(q, h, p)
+        ranks = [n]
+        M = eye(n)
+        for _ in range(e):
+            M = modp(Q @ M, p)
+            ranks.append(rank(M, p))
+        ranks.append(ranks[-1])
+        for k in range(1, e + 1):
+            count = (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]) // pdeg(q)
+            out.extend([ppow(q, k, p)] * count)
     return sorted(out)

@@ -2,17 +2,20 @@
 
 The starting datum is a pair of antisymmetric forms (b nondegenerate, c
 arbitrary) on two spaces carrying height flags matched by identity
-identifications.  Grinding alternates two refinement steps: split every cell
-into its flag factors, transferring the partner's flag through the pairing
-(the orthogonal step) or through the matched isomorphisms (the iso step),
-until every flag is trivial.  The primitive limit is a symplectic quiver
-representation: nodes with nondegenerate pairings b, an involution tau, a
-partial successor map sigma, and isomorphisms h solving
-b_{sigma P}(h u, v) = c_{rho P}(nu u, nu v).  Its decomposition into
-indecomposables (chains, hyperbolic chains, split and self-paired cycles,
-the latter through an isotropic-invariant splitting) yields the descriptor:
-a multiset of labelled pieces, with a prime-power endomorphism invariant on
-the cycles.
+identifications.  A state keeps cells of one kind on both sides, V (paired
+by b) and W (paired by c), and a round runs three single-sided steps on
+each side: split every cell into its flag factors, transferring the
+partner's flag through the pairing (`_split`, the orthogonal step); split
+every factor by that flag, moving the matched factor's flag through the
+isomorphism (`_refine`, the iso step); and pair the new cells through the
+parent pairing (`_pair`).  Rounds repeat until every flag is trivial.  The
+primitive limit is a symplectic quiver representation: nodes with
+nondegenerate pairings b, an involution tau, a partial successor map sigma,
+and isomorphisms h solving b_{sigma P}(h u, v) = c_{rho P}(nu u, nu v).  Its
+decomposition into indecomposables (chains, hyperbolic chains, split and
+self-paired cycles, the latter through an isotropic-invariant splitting)
+yields the descriptor: a multiset of labelled pieces, with a prime-power
+endomorphism invariant on the cycles.
 """
 from __future__ import annotations
 
@@ -23,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp
-from .gfp import (INF, FlagChain, companion, empty_space, eye, is_invertible,
-                  make_flag, modp, moved_flag, only_inf_flag, orthogonal_flag,
-                  pdeg, pfactor, pmul, ppow, restrict_flag, row_space, zeros)
+from .gfp import (INF, Factor, FlagChain, companion, empty_space, eye,
+                  is_invertible, make_flag, modp, moved_flag, only_inf_flag,
+                  orthogonal_flag, pdeg, pfactor, pmul, ppow, restrict_flag,
+                  row_space, zeros)
 
 
 def _label_key(q):
@@ -33,39 +37,43 @@ def _label_key(q):
 
 
 @dataclass
-class VCell:
+class Cell:
     dim: int
     alpha: int | None        # None only on the starting object (assigned at
                              # the first split as factor label + 1)
     flag: FlagChain
-    partner: int
+    partner: int | None      # None = tagged (c side: no pairing through here)
 
 
-@dataclass
-class WCell:
-    dim: int
-    flag: FlagChain
-    partner: int | None      # None = infinity-tagged (no c through here)
+def _check_pairings(cells: dict, pairing: dict, p: int) -> None:
+    """Every partnered cell pairs nondegenerately and antisymmetrically with
+    its partner, and alternatingly with itself."""
+    for x, cell in cells.items():
+        if cell.partner is None:
+            continue
+        P = pairing[x]
+        assert P.shape == (cell.dim, cells[cell.partner].dim)
+        assert np.array_equal(pairing[cell.partner], modp(-P.T, p))
+        assert is_invertible(P, p)
+        if cell.partner == x:
+            assert not np.any(np.diagonal(P))
 
 
 @dataclass
 class AState:
     p: int
     parity: int              # 0: flags increasing, 1: decreasing
-    v: dict
-    w: dict
+    v: dict                  # vid -> Cell paired by b
+    w: dict                  # wid -> Cell paired by c
     b: dict                  # vid -> pairing matrix V_x times V_{partner}
     c: dict                  # wid -> pairing matrix (absent for tagged cells)
     nu: dict                 # (vid, label) -> (wid, label, matrix)
 
     def check(self):
-        for vid, cell in self.v.items():
-            pb = self.b[vid]
-            assert pb.shape == (cell.dim, self.v[cell.partner].dim)
-            assert np.array_equal(self.b[cell.partner], modp(-pb.T, self.p))
-            assert is_invertible(pb, self.p) or cell.dim == 0
-            if cell.partner == vid:
-                assert not np.any(np.diagonal(pb))
+        assert all(cell.partner is not None for cell in self.v.values()), \
+            "a b-side cell lost its partner"
+        _check_pairings(self.v, self.b, self.p)
+        _check_pairings(self.w, self.c, self.p)
         targets = {}
         for (vid, q), (wid, r, N) in self.nu.items():
             src = self.v[vid].flag.factor(q)
@@ -76,11 +84,6 @@ class AState:
         for wid, cell in self.w.items():
             for r in cell.flag.factor_labels():
                 assert (wid, r) in targets, "nu misses a w-side factor"
-            if cell.partner is not None:
-                pc = self.c[wid]
-                assert pc.shape == (cell.dim, self.w[cell.partner].dim)
-                assert np.array_equal(self.c[cell.partner], modp(-pc.T, self.p))
-                assert is_invertible(pc, self.p)
 
     def is_primitive(self) -> bool:
         return all(c.flag.is_trivial() for c in self.v.values()) and \
@@ -92,35 +95,23 @@ class AState:
 
 
 @dataclass
-class RCell:
-    dim: int
+class Piece:
+    """One flag factor of an A-state cell, with the flag transferred into it."""
     alpha: int
-    flag: FlagChain          # the transferred K-flag
-    parent: int
-    label: object
-    lift: np.ndarray         # factor section rows in parent-cell coordinates
-
-
-@dataclass
-class SCell:
-    dim: int
-    flag: FlagChain
-    parent: int
-    label: object
-    lift: np.ndarray
-    tagged: bool
+    flag: FlagChain          # the transferred flag
+    parent: int              # the cell
+    label: object            # the factor's label in the cell's flag
+    window: Factor           # that factor
+    orth: FlagChain | None   # where flag was read from: the partner flag's
+                             # orthogonal (None on a tagged cell)
 
 
 @dataclass
 class BState:
-    p: int
-    parity: int
-    r: dict
-    s: dict
+    r: dict                  # rid -> Piece of a b-side cell
+    s: dict                  # sid -> Piece of a c-side cell
     mu: dict                 # rid -> (sid, matrix)
     a_state: AState
-    orth: dict               # ("v", vid) / ("w", wid) -> partner flag's
-                             # orthogonal under the cell's pairing
     rid_of: dict             # (vid, label) -> rid of that factor
     sid_of: dict             # (wid, label) -> sid of that factor
 
@@ -152,8 +143,8 @@ def build_type1_object(p: int, heights, b, c) -> AState:
     flag = make_flag(n, "inc", height_spaces(heights), p)
     st = AState(
         p=p, parity=0,
-        v={0: VCell(n, None, flag, 0)},
-        w={0: WCell(n, flag, 0)},
+        v={0: Cell(n, None, flag, 0)},
+        w={0: Cell(n, None, flag, 0)},
         b={0: b}, c={0: c}, nu={})
     for q in flag.factor_labels():
         fac = flag.factor(q)
@@ -162,150 +153,126 @@ def build_type1_object(p: int, heights, b, c) -> AState:
     return st
 
 
+def _split(cells: dict, pairing: dict, direction: str, p: int):
+    """Split every cell by its flag (the split step, for one side).
+
+    A partnered cell reads, in each factor, the orthogonal of its partner's
+    flag under its pairing; a tagged cell puts each factor wholly at the
+    infinity slot of a `direction` flag.  Returns (pieces, piece_of).
+    """
+    pieces: dict = {}
+    piece_of: dict = {}
+    for x in sorted(cells):
+        cell = cells[x]
+        O = None if cell.partner is None else \
+            orthogonal_flag(pairing[x], cells[cell.partner].flag, p)
+        for q in sorted(cell.flag.factor_labels(), key=_label_key):
+            fac = cell.flag.factor(q)
+            K = only_inf_flag(fac.dim, direction, p) if O is None else \
+                restrict_flag(O, cell.flag, q)
+            alpha = cell.alpha if cell.alpha is not None else q + 1
+            piece_of[(x, q)] = len(pieces)
+            pieces[len(pieces)] = Piece(alpha, K, x, q, fac, O)
+    return pieces, piece_of
+
+
 def grind_A_to_B(A: AState) -> BState:
     """Split every cell by its flag; transfer the partner flags through the
     pairings (w side: the radical lands in the infinity slot)."""
-    p = A.p
-    r_cells: dict = {}
-    s_cells: dict = {}
-    rid_of: dict = {}
-    sid_of: dict = {}
-    orth: dict = {}
-    for vid in sorted(A.v):
-        cell = A.v[vid]
-        O = orth["v", vid] = orthogonal_flag(A.b[vid], A.v[cell.partner].flag, p)
-        for q in sorted(cell.flag.factor_labels(), key=_label_key):
-            fac = cell.flag.factor(q)
-            K = restrict_flag(O, cell.flag, q)
-            alpha = cell.alpha if cell.alpha is not None else q + 1
-            rid = len(r_cells)
-            r_cells[rid] = RCell(fac.dim, alpha, K, vid, q, fac.lift())
-            rid_of[(vid, q)] = rid
-    new_dir = "dec" if A.parity == 0 else "inc"
-    for wid in sorted(A.w):
-        cell = A.w[wid]
-        if cell.partner is not None:
-            O = orth["w", wid] = orthogonal_flag(A.c[wid],
-                                                 A.w[cell.partner].flag, p)
-        for r in sorted(cell.flag.factor_labels(), key=_label_key):
-            fac = cell.flag.factor(r)
-            if cell.partner is None:
-                L = only_inf_flag(fac.dim, new_dir, p)
-                tagged = True
-            else:
-                L = restrict_flag(O, cell.flag, r)
-                tagged = False
-            sid = len(s_cells)
-            s_cells[sid] = SCell(fac.dim, L, wid, r, fac.lift(), tagged)
-            sid_of[(wid, r)] = sid
-    mu = {}
-    for (vid, q), (wid, r, N) in A.nu.items():
-        mu[rid_of[(vid, q)]] = (sid_of[(wid, r)], N)
-    assert len(mu) == len(r_cells) == len(s_cells), "nu is not cell-bijective"
-    return BState(p, A.parity, r_cells, s_cells, mu, A, orth, rid_of, sid_of)
+    direction = "dec" if A.parity == 0 else "inc"
+    r_pieces, rid_of = _split(A.v, A.b, direction, A.p)
+    s_pieces, sid_of = _split(A.w, A.c, direction, A.p)
+    mu = {rid_of[(vid, q)]: (sid_of[(wid, r)], N)
+          for (vid, q), (wid, r, N) in A.nu.items()}
+    assert len(mu) == len(r_pieces) == len(s_pieces), "nu is not cell-bijective"
+    return BState(r_pieces, s_pieces, mu, A, rid_of, sid_of)
 
 
-def _transfer_source_label(direction: str, t):
-    """The partner-flag label whose orthogonal generates the factor's sup."""
-    if direction == "dec":
-        return t if t != INF else INF
-    return (t + 1) if t != INF else gfp.INF1
+def _corrected_pair_lift(piece: Piece, t, p):
+    """Representatives of factor t of the piece's transferred flag inside
+    the honest intersection orth(partner space) ∩ window, as rows in the
+    parent cell.
 
-
-def _corrected_pair_lift(orth: FlagChain, window, K: FlagChain, t, lift, p):
-    """Representatives of a transferred-flag factor inside the honest
-    intersection orth(partner space) ∩ window, as rows in the parent cell.
-
-    `orth` is the partner flag's orthogonal flag that K was read from.  The
-    naive two-level lift lives in that intersection plus the window's sub;
-    the sub part is stripped so induced pairings are read on legitimate
-    representatives.
+    The naive two-level lift lives in that intersection plus the window's
+    sub; the sub part is stripped so induced pairings are read on
+    legitimate representatives.
     """
-    naive = modp(K.factor(t).lift() @ lift, p)
-    src = _transfer_source_label(K.direction, t)
-    S = gfp.subspace_intersection(orth.space(src), window.sup, p)
+    window = piece.window
+    naive = modp(piece.flag.factor(t).lift() @ window.lift(), p)
+    # the partner-flag label whose orthogonal generates the factor's sup
+    src = t if piece.flag.direction == "dec" else \
+        gfp.INF1 if t == INF else t + 1
+    S = gfp.subspace_intersection(piece.orth.space(src), window.sup, p)
     coeffs = gfp.solve_rows(np.concatenate([S, window.sub], axis=0), naive, p)
     assert coeffs is not None, "factor representative escaped orth + sub"
     return modp(coeffs[:, : S.shape[0]] @ S, p)
 
 
+def _refine(pieces: dict, links: dict, mode: str, p: int):
+    """Split every piece by its transferred flag (the refine step, for one
+    side).  links[x] = (matrix, flag) moves the matched piece's flag onto
+    piece x (`mode` as in moved_flag); each new cell carries it, read in its
+    factor.  Partners are left to `_pair`.  Returns (cells, cell_of)."""
+    cells: dict = {}
+    cell_of: dict = {}
+    for x in sorted(pieces):
+        piece = pieces[x]
+        N, other = links[x]
+        moved = moved_flag(N, other, p, mode=mode)
+        for t in sorted(piece.flag.factor_labels(), key=_label_key):
+            G = restrict_flag(moved, piece.flag, t)
+            cell_of[(x, t)] = len(cells)
+            cells[len(cells)] = Cell(G.ambient_dim, piece.alpha, G, None)
+    return cells, cell_of
+
+
+def _pair(cells: dict, cell_of: dict, pieces: dict, piece_of: dict,
+          parents: dict, pairing: dict, p: int) -> dict:
+    """Partners and pairings of the new cells (the pair step, for one side).
+
+    Factor t of piece (X, q) pairs with factor q of piece (Xbar, t) through
+    the parent pairing on X.  Cells of a tagged parent stay tagged, and so
+    does a factor whose partner piece is missing: only the forced radical
+    slot of a degenerate starting c lacks it, at the infinity label.
+    Returns the new pairings.
+    """
+    out = {}
+    for (x, t), y in cell_of.items():
+        piece = pieces[x]
+        X, q = piece.parent, piece.label
+        Xbar = parents[X].partner
+        if Xbar is None:
+            continue
+        x2 = piece_of.get((Xbar, t))
+        if x2 is None:
+            assert t == INF, "missing partner piece for a finite factor"
+            continue
+        y2 = cell_of.get((x2, q))
+        assert y2 is not None, "partner piece lacks the matching factor"
+        L1 = _corrected_pair_lift(piece, t, p)
+        L2 = _corrected_pair_lift(pieces[x2], q, p)
+        P = modp(L1 @ pairing[X] @ L2.T, p)
+        assert is_invertible(P, p), "new pairing degenerate"
+        cells[y].partner = y2
+        out[y] = P
+    return out
+
+
 def grind_B_to_A(B: BState) -> AState:
     """Split by the transferred flags; move flags through the isomorphisms,
     induce the new pairings from the parents, and wire the new nu maps."""
-    p = B.p
     A = B.a_state
-    vid_of: dict = {}
-    wid_of: dict = {}
-    rid_by_sid = {sid: rid for rid, (sid, _) in B.mu.items()}
-    v_cells: dict = {}
-    w_cells: dict = {}
-    b_new: dict = {}
-    c_new: dict = {}
-    nu_new: dict = {}
-    # v side: factors of the K flags
-    for rid in sorted(B.r):
-        rc = B.r[rid]
-        sid, N = B.mu[rid]
-        moved = moved_flag(N, B.s[sid].flag, p, mode="preimage")
-        for t in sorted(rc.flag.factor_labels(), key=_label_key):
-            G = restrict_flag(moved, rc.flag, t)
-            vid = len(v_cells)
-            v_cells[vid] = VCell(rc.flag.factor(t).dim, rc.alpha, G, -1)
-            vid_of[(rid, t)] = vid
-    # w side: factors of the L flags
-    for sid in sorted(B.s):
-        sc = B.s[sid]
-        rid2 = rid_by_sid[sid]
-        moved = moved_flag(B.mu[rid2][1], B.r[rid2].flag, p, mode="image")
-        for t in sorted(sc.flag.factor_labels(), key=_label_key):
-            H = restrict_flag(moved, sc.flag, t)
-            wid = len(w_cells)
-            w_cells[wid] = WCell(sc.flag.factor(t).dim, H, None)
-            wid_of[(sid, t)] = wid
-    # partners and pairings on the v side: factor t of (X, q) pairs with
-    # factor q of (Xbar, t), through the parent pairing b_X
-    for (rid, t), vid in vid_of.items():
-        rc = B.r[rid]
-        X, q = rc.parent, rc.label
-        Xbar = A.v[X].partner
-        rid2 = B.rid_of[(Xbar, t)]
-        vid2 = vid_of.get((rid2, q))
-        assert vid2 is not None, "b-partner factor missing"
-        v_cells[vid].partner = vid2
-        rc2 = B.r[rid2]
-        L1 = _corrected_pair_lift(B.orth["v", X], A.v[X].flag.factor(q),
-                                  rc.flag, t, rc.lift, p)
-        L2 = _corrected_pair_lift(B.orth["v", Xbar], A.v[Xbar].flag.factor(t),
-                                  rc2.flag, q, rc2.lift, p)
-        pb = modp(L1 @ A.b[X] @ L2.T, p)
-        b_new[vid] = pb
-        assert is_invertible(pb, p), "new b-pairing degenerate"
-    # partners and pairings on the w side; missing partner cells mean the
-    # factor came from a radical slot and the new cell is tagged
-    for (sid, t), wid in wid_of.items():
-        sc = B.s[sid]
-        Z, r = sc.parent, sc.label
-        if sc.tagged:
-            continue
-        Zbar = A.w[Z].partner
-        sid2 = B.sid_of.get((Zbar, t))
-        if sid2 is None:
-            # only the forced radical slot of a degenerate starting c can
-            # lack its partner cell; it lives at the infinity label
-            assert t == INF, "missing partner cell for a finite factor"
-            continue  # stays tagged
-        wid2 = wid_of.get((sid2, r))
-        assert wid2 is not None, "partner cell lacks the matching factor"
-        sc2 = B.s[sid2]
-        L1 = _corrected_pair_lift(B.orth["w", Z], A.w[Z].flag.factor(r),
-                                  sc.flag, t, sc.lift, p)
-        L2 = _corrected_pair_lift(B.orth["w", Zbar], A.w[Zbar].flag.factor(t),
-                                  sc2.flag, r, sc2.lift, p)
-        pc = modp(L1 @ A.c[Z] @ L2.T, p)
-        w_cells[wid].partner = wid2
-        c_new[wid] = pc
-        assert is_invertible(pc, p), "new c-pairing degenerate"
+    p = A.p
+    v_cells, vid_of = _refine(
+        B.r, {rid: (N, B.s[sid].flag) for rid, (sid, N) in B.mu.items()},
+        "preimage", p)
+    w_cells, wid_of = _refine(
+        B.s, {sid: (N, B.r[rid].flag) for rid, (sid, N) in B.mu.items()},
+        "image", p)
+    b_new = _pair(v_cells, vid_of, B.r, B.rid_of, A.v, A.b, p)
+    c_new = _pair(w_cells, wid_of, B.s, B.sid_of, A.w, A.c, p)
     # nu: factor l of v-cell (rid, t) -> factor t of w-cell (mu(rid), l)
+    nu_new: dict = {}
     for (rid, t), vid in vid_of.items():
         sid, N = B.mu[rid]
         for l in v_cells[vid].flag.factor_labels():
@@ -313,7 +280,7 @@ def grind_B_to_A(B: BState) -> AState:
             M = gfp.induced_iso(N, B.r[rid].flag, B.s[sid].flag,
                                 v_cells[vid].flag, w_cells[wid].flag, t, l, p)
             nu_new[(vid, l)] = (wid, t, M)
-    out = AState(p, 1 - B.parity, v_cells, w_cells, b_new, c_new, nu_new)
+    out = AState(p, 1 - A.parity, v_cells, w_cells, b_new, c_new, nu_new)
     out.check()
     return out
 

@@ -16,6 +16,7 @@ from .algebra import AlgebraElement, FlagSpec
 from .classify import (ContactCandidate, ContactInvariant,
                        SymplecticCandidate, Type2Invariant)
 from .forms import DiffForm
+from .gfp import check_prime
 from .grind import Indecomposable
 from .groups import Automorphism
 
@@ -43,15 +44,30 @@ def _need(data: dict, field: str, types):
     return val
 
 
+def check_p(p: int) -> None:
+    """Reject an unsupported prime, naming the field `p`."""
+    try:
+        check_prime(p)
+    except ValueError as ex:
+        raise FormatError("p", str(ex))
+
+
+def make_spec(p: int, heights) -> FlagSpec:
+    """FlagSpec(p, heights); an unsupported prime names `p`, bad heights
+    name `heights`."""
+    check_p(p)
+    try:
+        return FlagSpec(p, tuple(heights))
+    except (ValueError, TypeError) as ex:
+        raise FormatError("heights", str(ex))
+
+
 def spec_from_json(data: dict) -> FlagSpec:
     p = _need(data, "p", int)
     heights = _need(data, "heights", list)
     if not _ints(heights):
         raise FormatError("heights", "expected a list of integers")
-    try:
-        return FlagSpec(p, tuple(heights))
-    except (ValueError, TypeError) as ex:
-        raise FormatError("heights", str(ex))
+    return make_spec(p, heights)
 
 
 def element_to_json(f: AlgebraElement) -> list:

@@ -323,19 +323,9 @@ def test_criterion_9_contact_split():
         midx = {m: i for i, m in enumerate(monos)}
         dimO = len(monos)
         n = cand.spec.n
-        # psi in Omega^1 as a coordinate vector psi[i * dimO + m]
-        rows = []
-        for q in Q:
-            # condition psi(delta_q) = 0 gives dimO linear equations
-            block = gfp.zeros(dimO, n * dimO)
-            for col in range(n * dimO):
-                i, m = divmod(col, dimO)
-                coeff = AlgebraElement(cand.spec, {monos[m]: 1})
-                delta_i = AlgebraElement(cand.spec, {})
-                # delta_q component i acts by multiplication
-                pass
-            rows.append(block)
-        # direct construction instead: evaluate psi(delta) bilinearly
+        # psi in Omega^1 as a coordinate vector psi[i * dimO + m]; each
+        # condition psi(delta_q) = 0 gives dimO linear equations, read off
+        # by evaluating psi(delta) bilinearly
         eq_rows = []
         for qv in Q:
             for mval in range(dimO):

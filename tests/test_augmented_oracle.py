@@ -81,7 +81,7 @@ def test_functional_invariants_exhaustive():
         if dims[-1] % 2:
             continue  # no nondegenerate antisymmetric forms on odd dim
         orbits, pairs, key, lo, hi = orbit_partition_functional(p, dims, k)
-        flag = coordinate_flag(p, dims)
+        flag = coordinate_flag(dims)
         fibers = {}
         for b, f in pairs:
             fb = flagged_from_dims(p, dims, b)
@@ -153,7 +153,7 @@ def orbit_partition_contact(p, dims):
 def test_contact_invariants_exhaustive():
     for p, dims in [(3, [1, 2]), (2, [1, 2, 3]), (3, [1, 1, 3]), (2, [3])]:
         orbits, pairs, key = orbit_partition_contact(p, dims)
-        flag = coordinate_flag(p, dims)
+        flag = coordinate_flag(dims)
         fibers = {}
         for f, b in pairs:
             inv = invariants_contact_pair(p, flag, f, b)

@@ -148,6 +148,16 @@ def test_normal_shape_round_trips_small():
     assert descriptor_equal(invariants(tcand), desc)
 
 
+def test_normal_shape_round_trips_quintic_cycle():
+    """A 10-variable type-1 normal shape at p = 13 whose cycle carries an
+    irreducible quintic: factoring its minimal polynomial used to try every
+    irreducible of degree up to 5 and did not finish."""
+    desc = Counter({Indecomposable(True, (1,), (1,), (7, 5, 9, 3, 8, 1)): 1})
+    cand = normal_shape(desc, 13)
+    assert cand.body.spec.n == 10
+    assert descriptor_equal(invariants(cand), desc)
+
+
 def test_normal_shape_round_trips_catalog():
     for p in (3, 5):
         for heights in [(1, 1), (1, 2), (2, 2)]:

@@ -367,3 +367,50 @@ def test_cli_bruteforce_repeated_dims(capsys):
     """A repeated dimension is a flag with a zero factor, not an error."""
     assert main(["bruteforce-flagforms", "--p", "2", "--dims", "1,1"]) == 0
     assert json.loads(capsys.readouterr().out)["fibers_match_orbits"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["random", "--kind", "type1", "--p", "3", "--heights", "0,1"], "heights"),
+    (["cohomology", "--p", "3", "--heights", "0,1", "--degree", "1"], "heights"),
+    (["random", "--kind", "type1", "--p", "4", "--heights", "1,1"], "p"),
+    (["cohomology", "--p", "4", "--heights", "1,1", "--degree", "1"], "p"),
+    (["selftest", "--p", "4", "--iters", "1"], "p"),
+    (["bruteforce-flagforms", "--p", "4", "--dims", "1,2"], "p")])
+def test_cli_bad_p_or_heights_name_the_field(capsys, argv, field):
+    """A height below 1 or an unsupported prime exits 2 naming its option;
+    both used to print the bare FlagSpec/check_prime message."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_cli_form_file_with_bad_p_names_p(tmp_path, capsys):
+    """An unsupported prime in a form file is reported as `p`, not as
+    `heights`."""
+    data = form_to_json(random_form("type1", FlagSpec(3, (1, 1)), 1))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(dict(data, p=4)))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p: unsupported prime 4")
+
+
+@pytest.mark.parametrize("dims, matrix", [
+    ([1, 3], [[0, 1], [2, 0]]),
+    ([1, 2], [[0, 1, 0], [2, 0, 0], [0, 0, 0]]),
+    ([1, 2], [[0, 1], [2]]),
+    ([1, 2], [[0, 1], [2, 0, 1]]),
+    ([1, 2], [[0, 1]]),
+    ([0], [[0]])])
+def test_cli_flag_invariants_matrix_shape(tmp_path, capsys, dims, matrix):
+    """The matrix must be square of size flag_dims[-1]; a mismatch used to
+    report "flag must run from 0 to the full space" and ragged rows raised
+    numpy's inhomogeneous-shape error."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"p": 3, "flag_dims": dims, "matrix": matrix}))
+    assert main(["flag-invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix: ")

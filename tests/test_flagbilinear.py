@@ -205,11 +205,11 @@ def test_functional_invariants_conjugation():
 def test_contact_pair_examples():
     p = 3
     # V one-dimensional, b = 0, f != 0: k = min q with f(V_q) != 0
-    flag = coordinate_flag(p, [1])
+    flag = coordinate_flag([1])
     inv = invariants_contact_pair(p, flag, [2], gfp.zeros(1, 1))
     assert inv.special == 1 and inv.grid_array().tolist() == [[0]]
     # heights (1,1,1) contact example: k = 1, n_11 = 2
-    flag3 = coordinate_flag(p, [3])
+    flag3 = coordinate_flag([3])
     b = gfp.zeros(3, 3)
     b[0, 1] = 1
     b[1, 0] = 2
@@ -227,7 +227,7 @@ def test_contact_pair_moves():
     for _ in range(25):
         d = 3
         dims = sorted(set(rng.sample(range(1, d + 1), rng.randrange(1, d + 1)) + [d]))
-        flag = coordinate_flag(p, dims)
+        flag = coordinate_flag(dims)
         f = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
         if not np.any(f):
             f[0] = 1

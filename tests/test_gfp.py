@@ -3,16 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charpforms import gfp
 from charpforms.gfp import (
     INF, companion, det, elementary_divisors, empty_space, eye, full_space,
     increasing_flag_from_dims, induced_iso, induced_pairing, inverse,
     irreducibles, make_factor, make_flag, modp, nullspace,
-    orthogonal_subspace, pfactor, pmul, quotient_section, rank,
-    rational_canonical_form, row_space, rref, solve, solve_rows, subspace_eq,
-    subspace_intersection, subspace_sum, transfer_flag_via_iso,
-    transfer_flag_via_pairing,
+    orthogonal_subspace, pfactor, pmul, quotient_section, rank, row_space,
+    rref, solve, solve_rows, subspace_eq, subspace_intersection,
+    subspace_sum, transfer_flag_via_iso, transfer_flag_via_pairing,
 )
 
 
@@ -87,6 +88,31 @@ def test_quotient_section_gives_representatives():
     back = modp(coords @ fac.lift(), p)
     d = solve_rows(sub, modp(v - back[0], p), p)
     assert d is not None
+
+
+def _matrix_rows(data, p, m_max, n):
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(entries, max_size=m_max))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quotient_section_is_canonical_complement(data):
+    """For sub ⊆ sup the section is in rref, vanishes at sub's pivot
+    columns and completes sub to sup; a spanning set of sup that is not in
+    rref gives the same section."""
+    p = data.draw(st.sampled_from(gfp.SUPPORTED_PRIMES))
+    n = data.draw(st.integers(1, 6))
+    A = _matrix_rows(data, p, 6, n)
+    sup = row_space(A, p)
+    sub = row_space(modp(_matrix_rows(data, p, 4, sup.shape[0]) @ sup, p), p)
+    sec = quotient_section(sub, sup, p)
+    assert not np.any(sec[:, rref(sub, p)[1]])
+    assert np.array_equal(row_space(sec, p), sec)
+    assert sec.shape[0] == sup.shape[0] - sub.shape[0]
+    assert subspace_eq(subspace_sum(sub, sec, p), sup)
+    assert np.array_equal(quotient_section(sub, A, p), sec)
 
 
 def test_orthogonal_examples():
@@ -219,49 +245,82 @@ def test_poly_factor_and_companion():
     assert len(irreducibles(3, 2)) == 3
 
 
-def test_rcf_identity_and_companion():
+def test_elementary_divisors_identity_and_companion():
     p = 3
-    factors, P = rational_canonical_form(eye(2), p)
-    assert factors == [(2, 1), (2, 1)]  # x - 1 twice
+    assert elementary_divisors(eye(2), p) == [(2, 1), (2, 1)]  # x - 1 twice
     C = companion((1, 1, 1), 2)
-    factors2, _ = rational_canonical_form(C, 2)
-    assert factors2 == [(1, 1, 1)]
+    assert elementary_divisors(C, 2) == [(1, 1, 1)]
+    assert elementary_divisors(eye(0), p) == []
 
 
-def test_rcf_conjugate_recover():
+def test_elementary_divisors_conjugation_invariant():
     rng = random.Random(3)
     for p in (2, 3, 5):
         for _ in range(15):
             n = rng.randrange(1, 5)
-            # random invertible matrix
             h = gfp.random_invertible(rng, n, p)
             g = gfp.random_invertible(rng, n, p)
             hc = modp(g @ h @ inverse(g, p), p)
-            f1, P1 = rational_canonical_form(h, p)
-            f2, P2 = rational_canonical_form(hc, p)
-            assert f1 == f2
-            # witness conjugates to the companion block form
-            blocks = [companion(f, p) for f in f1]
-            D = gfp.zeros(n, n)
-            at = 0
-            for B in blocks:
-                d = B.shape[0]
-                D[at:at + d, at:at + d] = B
-                at += d
-            assert np.array_equal(modp(inverse(P1, p) @ h @ P1, p), D)
-            assert elementary_divisors(h, p) == elementary_divisors(hc, p)
+            divs = elementary_divisors(h, p)
+            assert divs == elementary_divisors(hc, p)
+            assert sum(gfp.pdeg(f) for f in divs) == n
 
 
-def test_rcf_distinct_char_polys_differ():
+def block_companion(divisors, p):
+    """Block-diagonal matrix of the companion matrices of the divisors."""
+    blocks = [companion(f, p) for f in divisors]
+    n = sum(B.shape[0] for B in blocks)
+    D = gfp.zeros(n, n)
+    at = 0
+    for B in blocks:
+        d = B.shape[0]
+        D[at:at + d, at:at + d] = B
+        at += d
+    return D
+
+
+def test_elementary_divisors_block_companion_round_trip():
+    """Companion blocks of prime powers, repeated and conjugated, give back
+    their own multiset."""
+    rng = random.Random(4)
+    for p in (2, 3, 5, 13):
+        powers = [gfp.ppow(q, e, p) for d in (1, 2) for q in irreducibles(p, d)
+                  if q[0] for e in (1, 2, 3) if d * e <= 4]
+        for _ in range(12):
+            divisors = []
+            while True:
+                f = rng.choice(powers)
+                if sum(map(gfp.pdeg, divisors)) + gfp.pdeg(f) > 6:
+                    break
+                divisors += [f] * rng.choice((1, 1, 2))
+            if not divisors:
+                continue
+            D = block_companion(divisors, p)
+            g = gfp.random_invertible(rng, D.shape[0], p)
+            h = modp(g @ D @ inverse(g, p), p)
+            assert elementary_divisors(h, p) == sorted(divisors)
+
+
+def test_elementary_divisors_distinct_char_polys_differ():
     p = 3
     h1 = companion((1, 0, 1), p)   # x^2 + 1
     h2 = companion((2, 0, 1), p)   # x^2 + 2
-    assert rational_canonical_form(h1, p)[0] != rational_canonical_form(h2, p)[0]
+    assert elementary_divisors(h1, p) != elementary_divisors(h2, p)
 
 
-def test_rcf_rejects_singular():
+def test_elementary_divisors_rejects_singular():
     with pytest.raises(ValueError):
-        rational_canonical_form(gfp.zeros(2, 2), 3)
+        elementary_divisors(gfp.zeros(2, 2), 3)
+
+
+def test_pfactor_large_irreducible():
+    """Trial division stops at half the degree: an irreducible quintic at
+    p = 13 factors as itself at once instead of trying every irreducible
+    of degree up to 5."""
+    f = (7, 5, 9, 3, 8, 1)
+    assert pfactor(f, 13) == {f: 1}
+    g = pmul(pmul(f, (1, 1), 13), (1, 1), 13)
+    assert pfactor(g, 13) == {(1, 1): 2, f: 1}
 
 
 def test_det():

@@ -125,3 +125,81 @@ def test_batched_solve_rows_equals_per_row(p):
             outside = gfp.eye(n)[min(set(range(n)) - set(pivots))]
             assert gfp.solve_rows(B, outside, p) is None
             assert gfp.solve_rows(B, np.vstack([V, outside]), p) is None
+
+
+# ---------------------------------------------------------------------------
+# Polynomial factoring and elementary divisors against sympy over GF(p)[x].
+# ---------------------------------------------------------------------------
+
+def _sympy_factors(expr, x, p):
+    """{q: multiplicity} of a sympy polynomial over GF(p), q as a monic
+    little-endian coefficient tuple."""
+    from sympy import Poly
+    _, factors = Poly(expr, x, modulus=p).factor_list()
+    return {gfp.pmonic([int(c) % p for c in reversed(q.all_coeffs())], p): e
+            for q, e in factors}
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_pfactor_matches_sympy(p):
+    from sympy import symbols
+    x = symbols("x")
+    rng = random.Random(400 + p)
+    for d in range(1, 7):
+        for _ in range(8):
+            # random monic, and a product of random monic factors (repeats
+            # included) so multiplicities above one occur
+            f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            g = gfp.pmul(f, gfp.ppow((rng.randrange(p), 1), rng.randrange(1, 3), p), p)
+            for poly in (f, g):
+                expr = sum(c * x ** i for i, c in enumerate(poly))
+                assert gfp.pfactor(poly, p) == _sympy_factors(expr, x, p), poly
+
+
+def _block_diag(blocks):
+    n = sum(B.shape[0] for B in blocks)
+    D = gfp.zeros(n, n)
+    at = 0
+    for B in blocks:
+        D[at:at + B.shape[0], at:at + B.shape[0]] = B
+        at += B.shape[0]
+    return D
+
+
+def _endomorphisms(rng, p):
+    """Nonsingular n x n matrices, n <= 6: random ones, and conjugated block
+    sums of Jordan blocks and companions of irreducible quadratic powers,
+    some repeated."""
+    for n in range(1, 7):
+        yield gfp.random_invertible(rng, n, p)
+    quadratics = gfp.irreducibles(p, 2)
+    for _ in range(8):
+        blocks = []
+        while True:
+            a, k = rng.randrange(1, p), rng.randrange(1, 4)
+            jordan = gfp.modp(a * gfp.eye(k) + np.eye(k, k, 1, dtype=np.int64), p)
+            q = rng.choice(quadratics)
+            B = rng.choice([jordan, gfp.companion(gfp.ppow(q, (k + 1) // 2, p), p)])
+            copies = rng.choice((1, 2))
+            if sum(b.shape[0] for b in blocks) + copies * B.shape[0] > 6:
+                break
+            blocks += [B] * copies
+        if blocks:
+            D = _block_diag(blocks)
+            g = gfp.random_invertible(rng, D.shape[0], p)
+            yield gfp.modp(g @ D @ gfp.inverse(g, p), p)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_elementary_divisors_match_sympy(p):
+    from sympy import GF, Matrix, eye, symbols
+    from sympy.matrices.normalforms import invariant_factors
+    x = symbols("x")
+    rng = random.Random(500 + p)
+    for h in _endomorphisms(rng, p):
+        n = h.shape[0]
+        char = x * eye(n) - Matrix(h.tolist())
+        ref = []
+        for f in invariant_factors(char, domain=GF(p)[x]):
+            ref += [gfp.ppow(q, e, p) for q, e in _sympy_factors(f, x, p).items()]
+        assert gfp.elementary_divisors(h, p) == sorted(ref), h.tolist()
