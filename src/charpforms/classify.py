@@ -29,6 +29,15 @@ from .grind import (classify_type1_matrices, descriptor_equal,
 from .groups import Automorphism, random_in, transport_witness
 
 
+class FormatError(ValueError):
+    """Malformed input, or an input field outside the domain of a call;
+    carries a field diagnostic."""
+
+    def __init__(self, field: str, msg: str):
+        self.field = field
+        super().__init__(f"{field}: {msg}")
+
+
 @dataclass
 class SymplecticCandidate:
     u_class: np.ndarray
@@ -115,7 +124,8 @@ def is_symplectic(cand: SymplecticCandidate) -> str:
     spec = cand.spec
     p = spec.p
     if p == 2 and cand.has_u() and any(m == 1 for m in spec.heights):
-        raise ValueError("type-2 recognition at p = 2 needs all heights > 1")
+        raise FormatError("heights",
+                          "type-2 recognition at p = 2 needs all heights > 1")
     closed = cand.body.d() + e_vector_form(spec, cand.u_class).wedge(cand.body)
     if closed:
         return "no"
@@ -175,7 +185,7 @@ def is_contact(cand: ContactCandidate, domega: DiffForm | None = None) -> bool:
     `domega`, if given, is d omega, already computed by the caller."""
     spec = cand.spec
     if spec.p == 2:
-        raise ValueError("contact recognition requires p > 2")
+        raise FormatError("p", "contact recognition requires p > 2")
     n = spec.n
     x = constant_covector(cand.form)
     db = constant_bivector(cand.form.d() if domega is None else domega)
@@ -187,46 +197,82 @@ def is_contact(cand: ContactCandidate, domega: DiffForm | None = None) -> bool:
 
 
 def contact_split(cand: ContactCandidate):
-    """F_p-bases of P = ker(delta -> delta . d omega) and
-    Q = ker(delta -> omega(delta)) inside W(F)."""
+    """F_p-bases (canonical rref) of P = ker(delta -> delta . d omega) and
+    Q = ker(delta -> omega(delta)) inside W(F).
+
+    Write d omega = sum_{j<k} g_jk dx_j ^ dx_k and let A be the skew n x n
+    matrix over O with A_jk = g_jk; delta = sum a_j d_j contracts to
+    -sum_k (A a)_k dx_k, so P = ker A.  For odd n the Reeb vector
+    R_i = (-1)^i Pf(A without row and column i) satisfies A R = 0.  omega is
+    contact exactly when the constant bordered matrix of (A, f) is
+    nonsingular; then A mod m has rank n - 1, some R_i is a unit and A has
+    a unit (n-1)-minor.  Over the local ring O such an A is equivalent to
+    diag(1, ..., 1, a) with a = 0 (det A = 0 for odd n), so ker A is free
+    of rank 1; it contains the unimodular R, hence P = O R, spanned over F_p
+    by the x^(m) R.  Q is the kernel of [M(f_0) | ... | M(f_{n-1})].
+    """
     domega = cand.form.d()
     if not is_contact(cand, domega):
         raise ValueError("not a contact form")
-    rows_P, rows_Q = _contact_matrices(cand, domega)
-    P = gfp.nullspace(rows_P, cand.spec.p)
-    Q = gfp.nullspace(rows_Q, cand.spec.p)
-    assert P.shape[0] + Q.shape[0] == rows_P.shape[1], \
+    p = cand.spec.p
+    reeb = _reeb_vector(domega)
+    assert not domega.contract(reeb), "d omega . R != 0"
+    span_P, rows_Q = _contact_matrices(cand, reeb)
+    P = gfp.row_space(span_P, p)
+    Q = gfp.nullspace(rows_Q, p)
+    assert P.shape[0] == cand.spec.dim, "P is not free of rank 1"
+    assert P.shape[0] + Q.shape[0] == span_P.shape[1], \
         "contact split dimensions broken"
     return P, Q
 
 
-def _contact_matrices(cand: ContactCandidate, domega: DiffForm):
-    """The matrices of delta -> delta . d omega (1-form coordinates) and
-    delta -> omega(delta) on W(F), as int16 arrays.
+def _reeb_vector(domega: DiffForm) -> list:
+    """R_i = (-1)^i Pf(A without row and column i) for the skew matrix
+    A_jk = g_jk of d omega = sum_{j<k} g_jk dx_j ^ dx_k (n odd); for n = 3,
+    R = (g_12, -g_02, g_01)."""
+    spec = domega.spec
+    zero = AlgebraElement.zero(spec)
 
-    Coordinate j * dim O(F) + idx(x^(m)) of W(F) is x^(m) d_j, and a 1-form
-    sum f_k dx_k has coordinates k * dim O(F) + idx(.) likewise.  With
-    omega = sum f_j dx_j and d omega = sum_{j<k} g_jk dx_j ^ dx_k, contracting
-    x^(m) d_j gives +g_jk x^(m) dx_k and contracting x^(m) d_k gives
-    -g_jk x^(m) dx_j, so both matrices are made of blocks of multiplication
-    matrices.
+    def pfaffian(idx):
+        # expansion along the first index; a 2 x 2 Pfaffian is its entry
+        if not idx:
+            return AlgebraElement.one(spec)
+        if len(idx) == 2:
+            return domega.terms.get(idx, zero)
+        out = zero
+        for t, j in enumerate(idx[1:]):
+            g = domega.terms.get((idx[0], j))
+            if g:
+                term = g * pfaffian(idx[1:t + 1] + idx[t + 2:])
+                out = out - term if t % 2 else out + term
+        return out
+
+    n = spec.n
+    return [pfaffian(tuple(k for k in range(n) if k != i)).scale((-1) ** i)
+            for i in range(n)]
+
+
+def _contact_matrices(cand: ContactCandidate, reeb: list):
+    """The F_p spanning rows [M(R_0)^T | ... | M(R_{n-1})^T] of P = O R and
+    the matrix [M(f_0) | ... | M(f_{n-1})] of delta -> omega(delta) on W(F),
+    both dim O(F) x dim W(F) int16 arrays, M = `multiplication_matrix`.
+
+    Coordinate j * dim O(F) + idx(x^(m)) of W(F) is x^(m) d_j, so row m of
+    the first matrix is x^(m) R: column m of M(R_j) in block j.
     """
     spec = cand.spec
-    p = spec.p
     dimO = spec.dim
-    rows_P = np.zeros((spec.n * dimO, spec.n * dimO), dtype=np.int16)
+    span_P = np.zeros((dimO, spec.n * dimO), dtype=np.int16)
     rows_Q = np.zeros((dimO, spec.n * dimO), dtype=np.int16)
 
     def block(i):
         return slice(i * dimO, (i + 1) * dimO)
 
-    for (j, k), g in domega.terms.items():
-        G = multiplication_matrix(g)
-        rows_P[block(k), block(j)] = G
-        rows_P[block(j), block(k)] = -G % p
+    for j, r in enumerate(reeb):
+        span_P[:, block(j)] = multiplication_matrix(r).T
     for (j,), f in cand.form.terms.items():
         rows_Q[:, block(j)] = multiplication_matrix(f)
-    return rows_P, rows_Q
+    return span_P, rows_Q
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +399,7 @@ def equivalent(c1, c2) -> tuple[bool, dict]:
     """Equivalence decision with a report naming the matched invariants."""
     s1, s2 = c1.spec, c2.spec
     if s1.p != s2.p:
-        raise ValueError("mixed characteristics")
+        raise FormatError("p", "mixed characteristics")
     k1, k2 = recognize(c1), recognize(c2)
     report = {"kind": (k1, k2)}
     if k1 == "no" or k2 == "no" or k1 != k2:
@@ -449,7 +495,8 @@ def random_form(kind: str, spec: FlagSpec, seed: int):
         # requested heights (n must be even for nondegeneracy)
         n = spec.n
         if n % 2:
-            raise ValueError("type-1 forms need an even number of variables")
+            raise FormatError("heights",
+                              "type-1 forms need an even number of variables")
 
         def alternating():
             m = gfp.random_matrix(rng, n, n, p)
@@ -461,17 +508,20 @@ def random_form(kind: str, spec: FlagSpec, seed: int):
         cand = _type1_form(spec, a, alternating())
     elif kind == "type2":
         if p == 2 and any(m == 1 for m in spec.heights):
-            raise ValueError("type-2 generation at p = 2 needs all heights > 1")
+            raise FormatError("heights",
+                              "type-2 generation at p = 2 needs all heights > 1")
         invs = admissible_type2_invariants(spec.heights, p)
         if not invs:
-            raise ValueError(f"no admissible type-2 invariants for {spec.heights}")
+            raise FormatError("heights", f"no admissible type-2 invariants "
+                                         f"for {spec.heights}")
         cand = normal_shape(rng.choice(invs), p)
     elif kind == "contact":
         if p == 2:
-            raise ValueError("no contact forms at p = 2")
+            raise FormatError("p", "no contact forms at p = 2")
         invs = admissible_contact_invariants(spec.heights, p)
         if not invs:
-            raise ValueError(f"no admissible contact invariants for {spec.heights}")
+            raise FormatError("heights", f"no admissible contact invariants "
+                                         f"for {spec.heights}")
         cand = normal_shape(rng.choice(invs), p)
     else:
         raise ValueError(f"unknown kind {kind!r}")

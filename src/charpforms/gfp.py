@@ -15,10 +15,11 @@ the classification pipeline) are reduced as lists of Python-int rows
 (the dense systems of contact splitting) are reduced by `_rref_large` in
 place on one int16 array: entries lie in [0, p) with p <= 13, so each update
 x - f*y stays within [-144, 12], and a pivot only touches the rows with a
-nonzero entry in its column, from its column on.  `nullspace`, which
-contact splitting calls on its large systems, keeps them as arrays end to
-end: the null-space basis is read off (R, pivots) by indexing and reduced
-once more to its canonical rref.
+nonzero entry in its column, from its column on.  `rref` and `nullspace`,
+which contact splitting calls on its large systems, keep them as arrays end
+to end.  `nullspace` eliminates once, on the matrix with its columns
+reversed: the basis read off that rref, reversed back, is already the
+canonical rref of the kernel.
 """
 from __future__ import annotations
 
@@ -188,6 +189,11 @@ def _solve(A: list, rhs: list, n: int, p: int) -> list | None:
 
 def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p; returns (R, pivot columns)."""
+    A = np.asarray(A)
+    if A.size > SMALL_ENTRIES:
+        R = (np.atleast_2d(A) % p).astype(np.int16, copy=False)
+        pivots = _rref_large(R, p)
+        return R.astype(np.int64), pivots
     rows, n = _rows(A, p)
     pivots = _eliminate(rows, n, p)
     return _matrix(rows, n), pivots
@@ -213,38 +219,43 @@ def full_space(n: int) -> np.ndarray:
 
 
 def nullspace(A, p: int) -> np.ndarray:
-    """Row basis of {x : A @ x = 0}."""
-    A = np.asarray(A)
+    """Canonical basis (rref) of {x : A @ x = 0}, from one elimination.
+
+    Let J reverse the columns and R = rref(A J).  The kernel vector of A J at
+    a free column c has 1 at c, 0 at the other free columns and nonzeros only
+    at pivot columns left of c.  Reversed (J v) it has its leading 1 at
+    n - 1 - c and 0 at the other leading columns, so these vectors, taken in
+    decreasing c, are the rref of ker A.
+    """
+    A = np.asarray(A)[..., ::-1]
     if A.size > SMALL_ENTRIES:
         return _nullspace_large(A, p)
     rows, n = _rows(A, p)
     pivots = _eliminate(rows, n, p)
     basis = []
-    for c in sorted(set(range(n)) - set(pivots)):
+    for c in sorted(set(range(n)) - set(pivots), reverse=True):
         v = [0] * n
         v[c] = 1
         for row, pc in zip(rows, pivots):
             v[pc] = -row[c] % p
-        basis.append(v)
-    _eliminate(basis, n, p)
+        basis.append(v[::-1])
     return _matrix(basis, n)
 
 
 def _nullspace_large(A: np.ndarray, p: int) -> np.ndarray:
-    """nullspace by `_rref_large` on an int16 copy R of A mod p.
-
-    The basis vector of a free column c has 1 at c, zero at the other free
-    columns and -R[i, c] at the pivot column of row i.
+    """nullspace by `_rref_large` on an int16 copy R of the column-reversed
+    A J mod p, kept int16 (no int64 copy of R).  Row k of the result is J v
+    for the k-th largest free column c: 1 at n - 1 - c and -R[i, c] at
+    n - 1 - (pivot column of row i).
     """
     R = (np.atleast_2d(A) % p).astype(np.int16, copy=False)
-    n = R.shape[1]
     pivots = _rref_large(R, p)
-    free = np.setdiff1d(np.arange(n), pivots)
-    N = np.zeros((free.size, n), dtype=np.int16)
-    N[np.arange(free.size), free] = 1
-    N[:, pivots] = (-R[:len(pivots), free].T) % p
-    _rref_large(N, p)
-    return N.astype(np.int64)
+    n = R.shape[1]
+    free = np.setdiff1d(np.arange(n), pivots)[::-1]
+    N = zeros(free.size, n)
+    N[np.arange(free.size), n - 1 - free] = 1
+    N[:, n - 1 - np.array(pivots, dtype=np.intp)] = -R[:len(pivots), free].T % p
+    return N
 
 
 def solve(A, b, p: int) -> np.ndarray | None:

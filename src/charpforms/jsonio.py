@@ -13,20 +13,12 @@ from collections import Counter
 import numpy as np
 
 from .algebra import AlgebraElement, FlagSpec
-from .classify import (ContactCandidate, ContactInvariant,
+from .classify import (ContactCandidate, ContactInvariant, FormatError,
                        SymplecticCandidate, Type2Invariant)
 from .forms import DiffForm
 from .gfp import check_prime
 from .grind import Indecomposable
 from .groups import Automorphism
-
-
-class FormatError(ValueError):
-    """Malformed input file; carries a field diagnostic."""
-
-    def __init__(self, field: str, msg: str):
-        self.field = field
-        super().__init__(f"{field}: {msg}")
 
 
 def _ints(values) -> bool:

@@ -8,7 +8,7 @@ from charpforms.algebra import AlgebraElement, FlagSpec, random_element
 from charpforms import gfp
 from charpforms.classify import (
     ContactCandidate, ContactInvariant, SymplecticCandidate, Type2Invariant,
-    _contact_matrices, admissible_contact_invariants,
+    _contact_matrices, _reeb_vector, admissible_contact_invariants,
     admissible_type2_invariants, apply_to_candidate, constant_bivector,
     contact_split, equivalent, invariants, is_contact, is_symplectic,
     normal_shape, random_form, recognize, same_Gprime_orbit,
@@ -91,14 +91,57 @@ def _contact_matrices_by_columns(cand):
 def test_contact_split_matches_per_column_build(p, heights, seed):
     cand = random_form("contact", FlagSpec(p, heights), seed)
     ref_P, ref_Q = _contact_matrices_by_columns(cand)
-    rows_P, rows_Q = _contact_matrices(cand, cand.form.d())
-    assert np.array_equal(rows_P, ref_P) and np.array_equal(rows_Q, ref_Q)
+    _, rows_Q = _contact_matrices(cand, _reeb_vector(cand.form.d()))
+    assert np.array_equal(rows_Q, ref_Q)
     P, Q = contact_split(cand)
     assert np.array_equal(P, gfp.nullspace(ref_P, p))
     assert np.array_equal(Q, gfp.nullspace(ref_Q, p))
     assert P.shape[0] == cand.spec.dim
     assert not np.any(gfp.modp(ref_P @ P.T, p))
     assert not np.any(gfp.modp(ref_Q @ Q.T, p))
+
+
+def _reeb_normal_form(spec):
+    """dx_n + x_1 dx_2 + x_3 dx_4 + ... (n odd): for n > 1 both f_0 and the
+    Reeb component R_0 vanish."""
+    n = spec.n
+    form = e_vector_form(spec, [0] * (n - 1) + [1])
+    for i in range(0, n - 1, 2):
+        form = form + DiffForm(spec, 1, {(i + 1,): AlgebraElement.generator(spec, i)})
+    return ContactCandidate(form)
+
+
+# (p, heights): n in {1, 3, 5}, dim W from 13 to 1,215
+SPLIT_ORACLE_CELLS = [(13, (1,)), (13, (2,)), (7, (2,)), (3, (1, 1, 1)),
+                      (5, (1, 1, 1)), (3, (1, 2, 1)), (7, (1, 1, 1)),
+                      (3, (1, 1, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("p, heights", SPLIT_ORACLE_CELLS)
+def test_contact_split_non_unit_components_match_dense_oracle(p, heights):
+    """P and Q against the null spaces of the per-column build when f_0 and
+    R_0 need not be units: the normal form dx_n + x_1 dx_2 + ..., and that
+    form moved by a random G' automorphism (constant part kept, so f_0 and
+    R_0 stay in the maximal ideal) and by a random G automorphism times a
+    random unit."""
+    spec = FlagSpec(p, heights)
+    rng = random.Random(p * 100 + sum(heights))
+    base = _reeb_normal_form(spec)
+    moved = apply_to_candidate(random_in(rng, spec, "Gprime"), base)
+    unit = AlgebraElement.scalar(spec, rng.randrange(1, p)) + random_element(rng, spec, 3)
+    general = ContactCandidate(
+        apply_to_candidate(random_in(rng, spec, "G"), base).form.mul_function(unit))
+    for cand in (base, moved, general):
+        reeb = _reeb_vector(cand.form.d())
+        f0 = cand.form.terms.get((0,), AlgebraElement.zero(spec))
+        if cand is not general:
+            assert (f0.constant_term() == 0) == (spec.n > 1)
+            assert (reeb[0].constant_term() == 0) == (spec.n > 1)
+        ref_P, ref_Q = _contact_matrices_by_columns(cand)
+        P, Q = contact_split(cand)
+        assert P.dtype == Q.dtype == np.int64
+        assert np.array_equal(P, gfp.nullspace(ref_P, p))
+        assert np.array_equal(Q, gfp.nullspace(ref_Q, p))
 
 
 def test_is_contact_examples():

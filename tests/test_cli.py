@@ -397,6 +397,46 @@ def test_cli_form_file_with_bad_p_names_p(tmp_path, capsys):
     assert captured.err.startswith("error: p: unsupported prime 4")
 
 
+# dx3 + x1 dx2 at p = 2 (contact is undefined there), and the type-2 body
+# dx1 ^ dx2 with u-class (1, 0) at p = 2 over a height-1 variable
+P2_CONTACT = {"p": 2, "heights": [1, 1, 1], "degree": 1, "terms": [
+    {"wedge": [3], "mono": [0, 0, 0], "coeff": 1},
+    {"wedge": [2], "mono": [1, 0, 0], "coeff": 1}]}
+P2_TYPE2 = {"p": 2, "heights": [1, 1], "degree": 2, "u_class": [1, 0],
+            "terms": [{"wedge": [1, 2], "mono": [0, 0], "coeff": 1}]}
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants", "normalize", "equiv"])
+@pytest.mark.parametrize("data, field", [(P2_CONTACT, "p"),
+                                         (P2_TYPE2, "heights")])
+def test_cli_form_outside_the_classification_names_the_field(
+        tmp_path, capsys, verb, data, field):
+    """A contact form at p = 2, or a type-2 form at p = 2 with a height-1
+    variable, exits 2 naming `p` or `heights`; both used to print the bare
+    classify message."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    files = [str(path)] * (2 if verb == "equiv" else 1)
+    assert main([verb] + files) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("kind, p, heights, field", [
+    ("contact", "2", "1,1,1", "p"), ("type2", "2", "1,1", "heights"),
+    ("type2", "2", "2,1", "heights"), ("type1", "3", "1", "heights"),
+    ("type2", "3", "1", "heights"), ("contact", "3", "1,1", "heights")])
+def test_cli_random_outside_the_classification_names_the_field(
+        capsys, kind, p, heights, field):
+    """`random` for a kind that has no forms at this p or these heights
+    exits 2 naming the option."""
+    assert main(["random", "--kind", kind, "--p", p, "--heights", heights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
 @pytest.mark.parametrize("dims, matrix", [
     ([1, 3], [[0, 1], [2, 0]]),
     ([1, 2], [[0, 1, 0], [2, 0, 0], [0, 0, 0]]),

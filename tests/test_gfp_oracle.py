@@ -91,6 +91,59 @@ def test_large_rank_deficient_match_sympy(p):
         _assert_rref(N, p)
 
 
+def _sympy_nullspace(A, p):
+    """The rref of sympy's null-space basis, as an int64 (k, n) array."""
+    K, M = _sympy(A, p)
+    N = M.nullspace()
+    if N.shape[0] == 0:
+        return gfp.zeros(0, A.shape[1])
+    return _ints(K, N.rref()[0])
+
+
+def _assert_nullspace_matches_sympy(A, p):
+    N = gfp.nullspace(A, p)
+    ref = _sympy_nullspace(np.atleast_2d(A), p)
+    assert N.dtype == np.int64 and N.shape == ref.shape
+    assert np.array_equal(N, ref)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_nullspace_edge_inputs_match_sympy(p):
+    """Inputs the random shapes miss: products m x r times r x n of every
+    rank r (small path), the zero matrix, a 1-D vector, 0-row and 0-column
+    matrices, and wide large matrices where pivot and free columns
+    interleave."""
+    rng = random.Random(600 + p)
+    for m, n in [(1, 1), (2, 7), (5, 5), (7, 3), (6, 12), (16, 16)]:
+        for r in range(min(m, n) + 1):
+            left = gfp.random_matrix(rng, m, r, p).reshape(m, r)
+            right = gfp.random_matrix(rng, r, n, p).reshape(r, n)
+            _assert_nullspace_matches_sympy(gfp.modp(left @ right, p), p)
+    for m, n in [(3, 4), (20, 20), (17, 17)]:
+        _assert_nullspace_matches_sympy(gfp.zeros(m, n), p)
+    for n in (1, 6, 300):
+        v = gfp.random_matrix(rng, 1, n, p)[0]
+        v[0] = 0                      # the first column is free
+        _assert_nullspace_matches_sympy(v, p)
+    for n in (0, 5, 300):
+        assert np.array_equal(gfp.nullspace(gfp.zeros(0, n), p), gfp.eye(n))
+    for m in (0, 5, 300):
+        assert gfp.nullspace(gfp.zeros(m, 0), p).shape == (0, 0)
+    # sympy's dense GF(p) elimination costs seconds at (125, 375), so that
+    # shape runs at low rank and only at p = 2 and at p = 13, where the int16
+    # updates of the large path reach their extreme values
+    wide = [(40, 120, 40), (40, 120, 20)]
+    if p in (2, 13):
+        wide.append((125, 375, 12))
+    for m, n, r in wide:
+        A = gfp.modp(gfp.random_matrix(rng, m, r, p) @ gfp.random_matrix(rng, r, n, p), p)
+        # zero columns and repeated columns scatter free columns between
+        # the pivots
+        A[:, rng.sample(range(n), n // 10)] = 0
+        A[:, 1::7] = A[:, 0::7][:, :A[:, 1::7].shape[1]]
+        _assert_nullspace_matches_sympy(A, p)
+
+
 @pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
 def test_inverse_and_det_match_sympy(p):
     rng = random.Random(100 + p)
