@@ -21,7 +21,7 @@ from operator import add, lt
 
 import numpy as np
 
-from .gfp import check_prime, inv_scalar
+from .gfp import check_prime, ensure, inv_scalar
 
 Mono = tuple  # exponent vector
 
@@ -122,7 +122,7 @@ def mono_dp_coeff(alpha: Mono, r: int, p: int) -> int:
         v, u = _fact_val_unit(a, p)
         val -= r * v
         unit = unit * pow(inv_scalar(u, p), r, p) % p
-    assert val >= 0, "divided power coefficient has negative valuation"
+    ensure(val >= 0, "divided power coefficient has negative valuation")
     return 0 if val > 0 else unit
 
 
@@ -460,8 +460,8 @@ class AlgebraElement:
         caps = self.spec.caps
         out = one
         for g in self._p_power_tower(len(_digits(self.spec.top_degree, p))):
-            assert all(a < cap for m in g.terms for a, cap in zip(m, caps)), \
-                "interior divided power escaped"
+            ensure(all(a < cap for m in g.terms for a, cap in zip(m, caps)),
+                   "interior divided power escaped")
             factor = power = one
             for d in range(1, p):
                 power = (power * g).scale(inv_scalar(d, p))   # g^d / d!

@@ -24,6 +24,7 @@ from .algebra import AlgebraElement, FlagSpec, multiplication_matrix
 from .flagbilinear import (FlaggedBilinear, admissible_grids,
                            invariants_contact_pair, invariants_form_functional)
 from .forms import DiffForm, e_vector_form, h_class, top_monomial
+from .gfp import ensure
 from .grind import (classify_type1_matrices, descriptor_equal,
                     height_spaces, synthesize_descriptor_matrices)
 from .groups import Automorphism, random_in, transport_witness
@@ -216,13 +217,13 @@ def contact_split(cand: ContactCandidate):
         raise ValueError("not a contact form")
     p = cand.spec.p
     reeb = _reeb_vector(domega)
-    assert not domega.contract(reeb), "d omega . R != 0"
+    ensure(not domega.contract(reeb), "d omega . R != 0")
     span_P, rows_Q = _contact_matrices(cand, reeb)
     P = gfp.row_space(span_P, p)
     Q = gfp.nullspace(rows_Q, p)
-    assert P.shape[0] == cand.spec.dim, "P is not free of rank 1"
-    assert P.shape[0] + Q.shape[0] == span_P.shape[1], \
-        "contact split dimensions broken"
+    ensure(P.shape[0] == cand.spec.dim, "P is not free of rank 1")
+    ensure(P.shape[0] + Q.shape[0] == span_P.shape[1],
+           "contact split dimensions broken")
     return P, Q
 
 
@@ -308,7 +309,7 @@ def _pairing_partition(spec: FlagSpec, grid, exclude: int | None = None):
             cnt = int(grid[q, t])
             sets[(q, t)] = pool[q][at:at + cnt]
             at += cnt
-        assert at == len(pool[q]), "grid does not match the height counts"
+        ensure(at == len(pool[q]), "grid does not match the height counts")
     pairing: dict = {}
     for q in range(r):
         for t in range(q, r):
@@ -363,7 +364,7 @@ def normal_shape(inv, p: int):
         e[i0] = 1
         body = eta.d() + e_vector_form(spec, e).wedge(eta)
         cand = SymplecticCandidate(e, body)
-        assert is_symplectic(cand) == "type2"
+        ensure(is_symplectic(cand) == "type2", "type-2 normal shape is not type 2")
         return cand
     if isinstance(inv, ContactInvariant):
         grid = np.asarray(inv.grid, dtype=np.int64)
@@ -378,7 +379,7 @@ def normal_shape(inv, p: int):
                 terms[(j,)] = terms.get((j,), AlgebraElement.zero(spec)) + \
                     AlgebraElement.generator(spec, i)
         cand = ContactCandidate(DiffForm(spec, 1, terms))
-        assert is_contact(cand)
+        ensure(is_contact(cand), "contact normal shape is not contact")
         return cand
     raise TypeError("unknown invariant datum")
 

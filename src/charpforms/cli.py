@@ -3,7 +3,9 @@
 Verbs: check, invariants, normalize, equiv, cohomology, selftest,
 bruteforce-flagforms, flag-invariants, random.  JSON in, JSON out, canonical
 term ordering; exit 0 on success/recognized/equivalent, 1 on a negative
-decision, 2 on malformed input.  CARTAN_SEED overrides the default seed.
+decision, 2 on malformed input, 3 when an internal check fails (a fault in
+the program; `selftest` also exits 3 when a property fails).  CARTAN_SEED
+overrides the default seed.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .classify import (equivalent, invariants, normal_shape, random_form,
 from .flagbilinear import (admissible_grids, brute_force_orbit_partition,
                            flagged_from_dims, grid_fibers, invariants_nqt)
 from .forms import DiffForm, cohomology_basis, cohomology_dims, render_form
+from .gfp import CheckFailed
 from .jsonio import (FormatError, _ints, check_p, form_from_json,
                      form_to_json, invariants_to_json, make_spec)
 
@@ -222,7 +225,7 @@ def cmd_selftest(args) -> int:
         same, _ = equivalent(cand, moved)
         ok = ok and same
     report("type-1 orbit invariance", ok)
-    return 2 if failures else 0
+    return 3 if failures else 0
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +294,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as ex:      # FormatError is a ValueError
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except CheckFailed as ex:
+        print(f"error: internal check failed: {ex}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

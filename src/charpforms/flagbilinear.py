@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .gfp import (empty_space, eye, full_space, modp, orthogonal_subspace,
-                  row_space, subspace_eq, subspace_intersection, subspace_sum,
-                  zeros)
+from .gfp import (empty_space, ensure, eye, full_space, modp,
+                  orthogonal_subspace, row_space, subspace_eq,
+                  subspace_intersection, subspace_sum, zeros)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class FlaggedBilinear:
         d = self.b.shape[0]
         if self.b.shape != (d, d):
             raise ValueError("form matrix must be square")
-        if np.any((self.b + self.b.T) % p) or np.any(np.diagonal(self.b) % p):
+        if not gfp.is_alternating(self.b, p):
             raise ValueError("form must be antisymmetric with zero diagonal")
         if self.flag[0].shape[0] != 0 or self.flag[-1].shape[0] != d:
             raise ValueError("flag must run from 0 to the full space")
@@ -70,13 +70,9 @@ def flagged_from_dims(p: int, dims, b) -> FlaggedBilinear:
     return FlaggedBilinear(p, coordinate_flag(dims), b)
 
 
-def _orth_chain(fb: FlaggedBilinear) -> list[np.ndarray]:
-    return [orthogonal_subspace(fb.b, S, fb.p) for S in fb.flag]
-
-
 def _w_spaces(fb: FlaggedBilinear):
     """W[i][j] = V_i ∩ V_j^⊥ for 0 <= i, j <= r, plus the j = r+1 zero slot."""
-    orth = _orth_chain(fb)
+    orth = [orthogonal_subspace(fb.b, S, fb.p) for S in fb.flag]
     W = {}
     for i in range(fb.r + 1):
         for j in range(fb.r + 1):
@@ -87,9 +83,11 @@ def _w_spaces(fb: FlaggedBilinear):
 
 def invariants_nqt(fb: FlaggedBilinear) -> np.ndarray:
     """The grid n_qt, 1 <= q, t <= r."""
-    p = fb.p
-    W = _w_spaces(fb)
-    r = fb.r
+    return _grid(_w_spaces(fb), fb.r, fb.p)
+
+
+def _grid(W: dict, r: int, p: int) -> np.ndarray:
+    """The grid n_qt, 1 <= q, t <= r, of the spaces W of `_w_spaces`."""
     out = zeros(r, r)
     for q in range(1, r + 1):
         for t in range(1, r + 1):
@@ -263,7 +261,7 @@ def canonical_flag_basis(fb: FlaggedBilinear) -> np.ndarray:
             rhs = _pairing_value(fb, e.reshape(1, -1), P)[0]
             Mx = _pairing_value(fb, Q, P)
             c = gfp.solve(Mx.T, rhs, p)
-            assert c is not None, "correction system inconsistent"
+            ensure(c is not None, "correction system inconsistent")
             e = (e - c @ Q) % p
         fixed[(s, t, q)] = e
     # flag-compatible output order: slot (i, j, k) sorted by i, then j, k
@@ -273,7 +271,7 @@ def canonical_flag_basis(fb: FlaggedBilinear) -> np.ndarray:
                   for i in range(1, fb.r + 1) for j in range(1, fb.r + 2)}
     target = _canonical_matrix_from_slots(fb.p, fb.r, slot_sizes)
     got = _pairing_value(fb, basis, basis)
-    assert np.array_equal(got, target), "canonical basis failed verification"
+    ensure(np.array_equal(got, target), "canonical basis failed verification")
     return basis
 
 
@@ -356,10 +354,10 @@ def invariants_form_functional(fb: FlaggedBilinear, k: int, f) -> AugmentedInvar
         img = fac.image_of(W[k, t])
         if img.shape[0] and np.any(modp(img @ f, p)):
             best = t
-    assert best is not None, "functional vanishes on the whole factor"
+    ensure(best is not None, "functional vanishes on the whole factor")
     ell = best + 1
-    grid = invariants_nqt(fb)
-    assert grid[k - 1, ell - 1] != 0, "augmented invariant needs n_kl != 0"
+    grid = _grid(W, fb.r, p)
+    ensure(grid[k - 1, ell - 1] != 0, "augmented invariant needs n_kl != 0")
     return AugmentedInvariant.make(ell, grid)
 
 
@@ -385,7 +383,7 @@ def invariants_contact_pair(p: int, flag: tuple, f, b) -> AugmentedInvariant:
         if flag[q].shape[0] and np.any(modp(flag[q] @ f, p)):
             k = q
             break
-    assert k is not None, "f vanishes on V"
+    ensure(k is not None, "f vanishes on V")
     # restrict to Q coordinates
     bq = modp(Q @ b @ Q.T, p)
     sub_flag = []

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gfp
 from .algebra import AlgebraElement, FlagSpec
+from .gfp import ensure
 
 
 def _merge_sign(I: tuple, J: tuple):
@@ -85,7 +86,8 @@ class DiffForm:
         return f"<form deg {self.degree}: {render_form(self)}>"
 
     def __add__(self, other):
-        assert self.spec == other.spec and self.degree == other.degree
+        ensure(self.spec == other.spec and self.degree == other.degree,
+               "adding forms of different spec or degree")
         out = dict(self.terms)
         for I, f in other.terms.items():
             g = out.get(I)
@@ -122,7 +124,7 @@ class DiffForm:
         return DiffForm(self.spec, self.degree + 1, out)
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
-        assert self.spec == other.spec
+        ensure(self.spec == other.spec, "wedge of forms over different specs")
         out: dict = {}
         for I, f in self.terms.items():
             for J, g in other.terms.items():
@@ -153,7 +155,8 @@ class DiffForm:
 
     def evaluate(self, derivations: list[list[AlgebraElement]]) -> AlgebraElement:
         """omega(delta_1, ..., delta_k) by the alternating determinant rule."""
-        assert len(derivations) == self.degree
+        ensure(len(derivations) == self.degree,
+               "evaluating a form on the wrong number of derivations")
         out = AlgebraElement.zero(self.spec)
         k = self.degree
         for I, f in self.terms.items():
@@ -433,14 +436,14 @@ def decompose_z1(phi: DiffForm):
                     AlgebraElement.generator(spec, i, p ** l).scale(a)
                 u = u * factor
             a_prev = a
-        assert (digits[spec.heights[i]] + a_prev) % p == 0, \
-            "u-class digits inconsistent"
+        ensure((digits[spec.heights[i]] + a_prev) % p == 0,
+               "u-class digits inconsistent")
     residual = beta - dlog(u)
     g = is_exact_with_potential(residual)
-    assert g is not None, "residual of the Z^1 splitting is not exact"
+    ensure(g is not None, "residual of the Z^1 splitting is not exact")
     g0 = g.terms.get((), AlgebraElement.zero(spec))
     g0 = g0 - AlgebraElement.scalar(spec, g0.constant_term())
-    assert g0.in_m2(), "potential escaped m^2"
+    ensure(g0.in_m2(), "potential escaped m^2")
     u = u * g0.exp_interior()
     return np.array(e, dtype=np.int64), u
 
@@ -539,7 +542,7 @@ def _twisted_block_dims(spec: FlagSpec, pattern, e) -> list[int]:
     # d'^2 = 0 on the block
     for k in range(n):
         comp = gfp.modp(mats[k + 1] @ mats[k], p)
-        assert not np.any(comp), "twisted differential does not square to zero"
+        ensure(not np.any(comp), "twisted differential does not square to zero")
     out = []
     for k in range(n + 1):
         dim_k = len(by_degree.get(k, []))

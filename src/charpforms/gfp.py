@@ -37,6 +37,18 @@ INF = "oo"
 INF1 = "oo+1"
 
 
+class CheckFailed(AssertionError):
+    """An internal check of the computation failed: a fault in the program,
+    never in its input (bad input raises ValueError)."""
+
+
+def ensure(cond, msg: str) -> None:
+    """Raise CheckFailed(msg) unless cond holds.  Unlike `assert`, the check
+    also runs under `python -O`."""
+    if not cond:
+        raise CheckFailed(msg)
+
+
 def check_prime(p: int) -> None:
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported prime {p}; expected one of {SUPPORTED_PRIMES}")
@@ -292,6 +304,14 @@ def is_invertible(A, p: int) -> bool:
     return A.shape[0] == A.shape[1] and rank(A, p) == A.shape[0]
 
 
+def is_alternating(M, p: int) -> bool:
+    """M is square with M + M^T = 0 and a zero diagonal mod p, so that
+    v^T M v = 0 for every v (at p = 2 the diagonal is not implied)."""
+    M = modp(M, p)
+    return M.ndim == 2 and M.shape[0] == M.shape[1] and \
+        not np.any((M + M.T) % p) and not np.any(np.diagonal(M))
+
+
 def det(A, p: int) -> int:
     """Determinant over F_p by elimination."""
     rows, n = _rows(A, p)
@@ -301,12 +321,10 @@ def det(A, p: int) -> int:
 
 def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
     return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)],
-                    dtype=np.int64)
+                    dtype=np.int64).reshape(m, n)
 
 
 def random_invertible(rng, n: int, p: int) -> np.ndarray:
-    if n == 0:
-        return zeros(0, 0)
     while True:
         A = random_matrix(rng, n, n, p)
         if is_invertible(A, p):
@@ -501,7 +519,7 @@ class FlagChain:
         if self.direction == "dec":
             seq = seq[::-1]
         for A, B in zip(seq, seq[1:]):
-            assert subspace_leq(A, B, self.p), "flag not monotone"
+            ensure(subspace_leq(A, B, self.p), "flag not monotone")
 
 
 def make_flag(ambient_dim: int, direction: str, finite_spaces, p: int,
@@ -645,7 +663,7 @@ def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
     lift = modp(sf.lift() @ fac_V.lift(), p)                   # rows in V
     pre = preimage_rows(mu, fac_U.sup, p)                      # mu^{-1}(upper U)
     coeffs = solve_rows(np.concatenate([pre, fac_V.sub], axis=0), lift, p)
-    assert coeffs is not None, "representative outside mu^{-1}U + V_sub"
+    ensure(coeffs is not None, "representative outside mu^{-1}U + V_sub")
     fixed = modp(coeffs[:, : pre.shape[0]] @ pre, p)
     moved = modp(fixed @ modp(mu, p).T, p)                     # rows in U-sup
     inner = fac_U.project_vectors(moved)                       # rows in Φ_l F_U
@@ -669,10 +687,6 @@ def ptrim(f) -> tuple:
 
 def pdeg(f) -> int:
     return len(f) - 1
-
-
-def pscale(f, c: int, p: int) -> tuple:
-    return ptrim([(a * c) % p for a in f])
 
 
 def pmul(f, g, p: int) -> tuple:
@@ -715,7 +729,8 @@ def pmonic(f, p: int) -> tuple:
     f = ptrim(f)
     if not f:
         return f
-    return pscale(f, inv_scalar(f[-1], p), p)
+    c = inv_scalar(f[-1], p)
+    return tuple(a * c % p for a in f)
 
 
 def pgcd(f, g, p: int) -> tuple:
@@ -723,28 +738,6 @@ def pgcd(f, g, p: int) -> tuple:
     while g:
         f, g = g, pmod(f, g, p)
     return pmonic(f, p)
-
-
-def pxgcd(f, g, p: int) -> tuple[tuple, tuple, tuple]:
-    """(d, s, t) with s*f + t*g = d = monic gcd(f, g)."""
-    r0, r1 = ptrim(f), ptrim(g)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, padd_(s0, pscale(pmul(q, s1, p), p - 1, p), p)
-        t0, t1 = t1, padd_(t0, pscale(pmul(q, t1, p), p - 1, p), p)
-    if not r0:
-        return (), s0, t0
-    c = inv_scalar(r0[-1], p)
-    return pscale(r0, c, p), pscale(s0, c, p), pscale(t0, c, p)
-
-
-def padd_(f, g, p: int) -> tuple:
-    n = max(len(f), len(g))
-    return ptrim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-                  for i in range(n)])
 
 
 def plcm(f, g, p: int) -> tuple:
@@ -838,22 +831,18 @@ def companion(f, p: int) -> np.ndarray:
 # Endomorphisms: cyclic subspaces, minimal polynomials, elementary divisors.
 # ---------------------------------------------------------------------------
 
-def krylov_rows(h, v, d: int, p: int) -> np.ndarray:
-    rows = [modp(v, p).reshape(-1)]
-    for _ in range(d - 1):
-        rows.append(modp(h @ rows[-1], p))
-    return np.array(rows, dtype=np.int64)
-
-
 def local_min_poly(h, v, p: int) -> tuple:
     """Monic minimal polynomial of h on the cyclic subspace generated by v.
 
     With the Krylov vectors v, hv, ..., h^n v as columns, the rref has
     pivots 0..d-1, and its column d expresses h^d v in the earlier ones.
     """
-    if not np.any(modp(v, p)):
+    krylov = [modp(v, p).reshape(-1)]
+    if not np.any(krylov[0]):
         return (1,)
-    R, pivots = rref(krylov_rows(h, v, h.shape[0] + 1, p).T, p)
+    for _ in range(h.shape[0]):
+        krylov.append(modp(h @ krylov[-1], p))
+    R, pivots = rref(np.array(krylov).T, p)
     d = len(pivots)
     return ptrim([(-c) % p for c in R[:d, d]] + [1])
 
@@ -867,29 +856,6 @@ def min_poly(h, p: int) -> tuple:
         if pdeg(m) == n:
             break
     return m
-
-
-def max_vector(h, p: int) -> np.ndarray:
-    """A vector whose local minimal polynomial is the full minimal polynomial."""
-    n = h.shape[0]
-    mu = min_poly(h, p)
-    parts = []
-    for q, e in pfactor(mu, p).items():
-        cof = pdivmod(mu, ppow(q, e, p), p)[0]
-        probe = peval_matrix(pmul(cof, ppow(q, e - 1, p), p), h, p)
-        found = None
-        I = eye(n)
-        for i in range(n):
-            if np.any(modp(probe @ I[i], p)):
-                found = modp(peval_matrix(cof, h, p) @ I[i], p)
-                break
-        assert found is not None, "no vector attains the primary component"
-        parts.append(found)
-    v = parts[0]
-    for w in parts[1:]:
-        v = modp(v + w, p)
-    assert local_min_poly(h, v, p) == mu
-    return v
 
 
 def elementary_divisors(h, p: int) -> list[tuple]:

@@ -13,9 +13,10 @@ primitive limit is a symplectic quiver representation: nodes with
 nondegenerate pairings b, an involution tau, a partial successor map sigma,
 and isomorphisms h solving b_{sigma P}(h u, v) = c_{rho P}(nu u, nu v).  Its
 decomposition into indecomposables (chains, hyperbolic chains, split and
-self-paired cycles, the latter through an isotropic-invariant splitting)
-yields the descriptor: a multiset of labelled pieces, with a prime-power
-endomorphism invariant on the cycles.
+self-paired cycles) yields the descriptor: a multiset of labelled pieces,
+with a prime-power endomorphism invariant on the cycles, read off the
+elementary divisors of the whole cycle map (halved on a self-paired cycle,
+see `self_paired_divisors`).
 """
 from __future__ import annotations
 
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp
-from .gfp import (INF, Factor, FlagChain, companion, empty_space, eye,
+from .gfp import (INF, Factor, FlagChain, companion, ensure, eye,
                   is_invertible, make_flag, modp, moved_flag, only_inf_flag,
-                  orthogonal_flag, pdeg, pfactor, pmul, ppow, restrict_flag,
-                  row_space, zeros)
+                  orthogonal_flag, pdeg, ppow, restrict_flag, zeros)
 
 
 def _label_key(q):
@@ -52,11 +52,13 @@ def _check_pairings(cells: dict, pairing: dict, p: int) -> None:
         if cell.partner is None:
             continue
         P = pairing[x]
-        assert P.shape == (cell.dim, cells[cell.partner].dim)
-        assert np.array_equal(pairing[cell.partner], modp(-P.T, p))
-        assert is_invertible(P, p)
+        ensure(P.shape == (cell.dim, cells[cell.partner].dim),
+               "pairing has the wrong shape")
+        ensure(np.array_equal(pairing[cell.partner], modp(-P.T, p)),
+               "pairing is not antisymmetric")
+        ensure(is_invertible(P, p), "pairing is degenerate")
         if cell.partner == x:
-            assert not np.any(np.diagonal(P))
+            ensure(not np.any(np.diagonal(P)), "self-pairing is not alternating")
 
 
 @dataclass
@@ -70,20 +72,21 @@ class AState:
     nu: dict                 # (vid, label) -> (wid, label, matrix)
 
     def check(self):
-        assert all(cell.partner is not None for cell in self.v.values()), \
-            "a b-side cell lost its partner"
+        ensure(all(cell.partner is not None for cell in self.v.values()),
+               "a b-side cell lost its partner")
         _check_pairings(self.v, self.b, self.p)
         _check_pairings(self.w, self.c, self.p)
         targets = {}
         for (vid, q), (wid, r, N) in self.nu.items():
             src = self.v[vid].flag.factor(q)
             dst = self.w[wid].flag.factor(r)
-            assert N.shape == (dst.dim, src.dim) and is_invertible(N, self.p)
-            assert (wid, r) not in targets
+            ensure(N.shape == (dst.dim, src.dim) and is_invertible(N, self.p),
+                   "nu is not an isomorphism of factors")
+            ensure((wid, r) not in targets, "nu hits a w-side factor twice")
             targets[(wid, r)] = (vid, q)
         for wid, cell in self.w.items():
             for r in cell.flag.factor_labels():
-                assert (wid, r) in targets, "nu misses a w-side factor"
+                ensure((wid, r) in targets, "nu misses a w-side factor")
 
     def is_primitive(self) -> bool:
         return all(c.flag.is_trivial() for c in self.v.values()) and \
@@ -137,8 +140,7 @@ def build_type1_object(p: int, heights, b, c) -> AState:
     c = modp(c, p)
     if not is_invertible(b, p):
         raise ValueError("constant part is degenerate")
-    if np.any((b + b.T) % p) or np.any(np.diagonal(b) % p) or \
-            np.any((c + c.T) % p) or np.any(np.diagonal(c) % p):
+    if not (gfp.is_alternating(b, p) and gfp.is_alternating(c, p)):
         raise ValueError("forms must be antisymmetric with zero diagonal")
     flag = make_flag(n, "inc", height_spaces(heights), p)
     st = AState(
@@ -184,7 +186,7 @@ def grind_A_to_B(A: AState) -> BState:
     s_pieces, sid_of = _split(A.w, A.c, direction, A.p)
     mu = {rid_of[(vid, q)]: (sid_of[(wid, r)], N)
           for (vid, q), (wid, r, N) in A.nu.items()}
-    assert len(mu) == len(r_pieces) == len(s_pieces), "nu is not cell-bijective"
+    ensure(len(mu) == len(r_pieces) == len(s_pieces), "nu is not cell-bijective")
     return BState(r_pieces, s_pieces, mu, A, rid_of, sid_of)
 
 
@@ -204,7 +206,7 @@ def _corrected_pair_lift(piece: Piece, t, p):
         gfp.INF1 if t == INF else t + 1
     S = gfp.subspace_intersection(piece.orth.space(src), window.sup, p)
     coeffs = gfp.solve_rows(np.concatenate([S, window.sub], axis=0), naive, p)
-    assert coeffs is not None, "factor representative escaped orth + sub"
+    ensure(coeffs is not None, "factor representative escaped orth + sub")
     return modp(coeffs[:, : S.shape[0]] @ S, p)
 
 
@@ -245,14 +247,14 @@ def _pair(cells: dict, cell_of: dict, pieces: dict, piece_of: dict,
             continue
         x2 = piece_of.get((Xbar, t))
         if x2 is None:
-            assert t == INF, "missing partner piece for a finite factor"
+            ensure(t == INF, "missing partner piece for a finite factor")
             continue
         y2 = cell_of.get((x2, q))
-        assert y2 is not None, "partner piece lacks the matching factor"
+        ensure(y2 is not None, "partner piece lacks the matching factor")
         L1 = _corrected_pair_lift(piece, t, p)
         L2 = _corrected_pair_lift(pieces[x2], q, p)
         P = modp(L1 @ pairing[X] @ L2.T, p)
-        assert is_invertible(P, p), "new pairing degenerate"
+        ensure(is_invertible(P, p), "new pairing degenerate")
         cells[y].partner = y2
         out[y] = P
     return out
@@ -297,8 +299,8 @@ def grind_to_primitive(A: AState) -> AState:
     while not state.is_primitive():
         state = grind_round(state)
         rounds += 1
-        assert rounds <= total + 2, "grinding did not terminate"
-    assert state.total_dims() == A.total_dims(), "grinding lost dimensions"
+        ensure(rounds <= total + 2, "grinding did not terminate")
+    ensure(state.total_dims() == A.total_dims(), "grinding lost dimensions")
     return state
 
 
@@ -320,24 +322,24 @@ class QuiverRep:
 
 def extract_quiver_rep(A: AState) -> QuiverRep:
     """Read the symplectic quiver representation off a primitive state."""
-    assert A.is_primitive(), "state is not primitive"
+    ensure(A.is_primitive(), "state is not primitive")
     A.check()
     p = A.p
     nodes = sorted(vid for vid in A.v if A.v[vid].dim > 0)
     single = {}
     for vid in nodes:
         labels = A.v[vid].flag.factor_labels()
-        assert len(labels) == 1
+        ensure(len(labels) == 1, "primitive cell has several factors")
         single[vid] = labels[0]
     nu_target = {}
     nu_mat = {}
     for (vid, q), (wid, r, N) in A.nu.items():
         if A.v[vid].dim > 0:
-            assert q == single[vid]
+            ensure(q == single[vid], "nu leaves the cell's factor")
             nu_target[vid] = wid
             nu_mat[vid] = N
     nu_inv = {wid: vid for vid, wid in nu_target.items()}
-    assert len(nu_inv) == len(nodes), "nu is not a bijection on cells"
+    ensure(len(nu_inv) == len(nodes), "nu is not a bijection on cells")
     tau = {vid: A.v[vid].partner for vid in nodes}
     sigma = {}
     h = {}
@@ -355,7 +357,8 @@ def extract_quiver_rep(A: AState) -> QuiverRep:
         Nts = nu_mat[tsP]
         h[P] = modp(gfp.inverse(Bs, p).T @ Nts.T @ C.T @ NP, p)
         # the defining identity: b_{sigma P}(h u, v) = c_{rho P}(nu u, nu v)
-        assert np.array_equal(modp(h[P].T @ Bs, p), modp(NP.T @ C @ Nts, p))
+        ensure(np.array_equal(modp(h[P].T @ Bs, p), modp(NP.T @ C @ Nts, p)),
+               "h fails its defining identity")
     rep = QuiverRep(p, nodes,
                     {P: A.v[P].dim for P in nodes},
                     {P: A.v[P].alpha for P in nodes},
@@ -369,22 +372,22 @@ def check_rep_axioms(rep: QuiverRep) -> None:
     p = rep.p
     for P in rep.nodes:
         BP = rep.b[P]
-        assert np.array_equal(rep.b[rep.tau[P]], modp(-BP.T, p))
+        ensure(np.array_equal(rep.b[rep.tau[P]], modp(-BP.T, p)),
+               "b is not antisymmetric under tau")
         if rep.tau[P] == P:
-            assert not np.any(np.diagonal(BP))
+            ensure(gfp.is_alternating(BP, p), "self-paired b is not alternating")
         sP = rep.sigma[P]
         if sP is None:
             continue
         tsP = rep.tau[sP]
         # sigma(tau sigma P) = tau P must be defined, with the adjoint law
-        assert rep.sigma.get(tsP) == rep.tau[P], "sigma/tau structure broken"
+        ensure(rep.sigma.get(tsP) == rep.tau[P], "sigma/tau structure broken")
         lhs = modp(rep.b[P] @ rep.h[tsP], p)
         rhs = modp(rep.h[P].T @ rep.b[sP], p)
-        assert np.array_equal(lhs, rhs), "adjoint axiom failed"
+        ensure(np.array_equal(lhs, rhs), "adjoint axiom failed")
         if sP == rep.tau[P]:
-            M = modp(rep.b[P] @ rep.h[P], p)
-            assert not np.any((M + M.T) % p) and not np.any(np.diagonal(M)), \
-                "self-cycle form is not alternating"
+            ensure(gfp.is_alternating(rep.b[P] @ rep.h[P], p),
+                   "self-cycle form is not alternating")
 
 
 # ---------------------------------------------------------------------------
@@ -431,79 +434,37 @@ def canonical_pair_label(periodic: bool, top, bottom):
     return min(cands)
 
 
-def isotropic_invariant_split(M, h, p):
-    """Split (V, M, h) into complementary isotropic h-invariant halves.
+def self_paired_divisors(M, H, p) -> list:
+    """Elementary divisors of a self-paired cycle: those of the cycle map H
+    on an isotropic H-invariant half U, read off H alone.
 
-    M is a nondegenerate alternating form with M(u, hu) = 0 for all u, and h
-    is invertible and self-adjoint for M.  Returns (U, U') as row bases.
-    Follows the greedy construction: a maximal primary cyclic subspace, a
-    partner pairing nontrivially against its minimal invariant subspace, and
-    recursion on the orthogonal complement.
+    M = b_{P1} H_s (H_s the walk from P1 to tau P1) is nondegenerate, as b
+    and every h are invertible, and the checks below require M and M H to be
+    alternating.  Then H is
+    self-adjoint for M: (M H)^T = -M H and M^T = -M give H^T M = M H, that
+    is M(Hu, v) = M(u, Hv).  The paper splits V = U + U' into isotropic
+    H-invariant halves.  As M is nondegenerate and both halves are
+    isotropic, the pairing G = M|U x U' is invertible, and self-adjointness
+    reads A^T G = G B for the matrices A of H|U and B of H|U'.  So H|U' is
+    similar to the transpose of H|U, which is similar to H|U (a matrix is
+    similar to its transpose: Taussky-Zassenhaus, Pacific J. Math. 1959).
+    Hence H = H|U + H|U' as F_p[x]-modules: every divisor of H occurs an even
+    number of times, and halving the multiplicities gives those of H|U.
     """
-    d = M.shape[0]
-    if d == 0:
-        return empty_space(0), empty_space(0)
-    Mh = modp(M @ h, p)
-    assert not np.any((Mh + Mh.T) % p) and not np.any(np.diagonal(Mh)), \
-        "form is not h-alternating"
-    mu = gfp.min_poly(h, p)
-    fac = pfactor(mu, p)
-    q, e = max(fac.items(), key=lambda qe: (pdeg(qe[0]) * qe[1], qe[0]))
-    qe = ppow(q, e, p)
-    cof = gfp.pdivmod(mu, qe, p)[0]
-    v = gfp.max_vector(h, p)
-    gen = modp(gfp.peval_matrix(cof, h, p) @ v, p)
-    dim1 = pdeg(qe)
-    U1 = gfp.krylov_rows(h, gen, dim1, p)
-    # minimal invariant subspace of the primary cyclic U1
-    mingen = modp(gfp.peval_matrix(ppow(q, e - 1, p), h, p) @ gen, p)
-    Umin = gfp.krylov_rows(h, mingen, pdeg(q), p)
-    # partner generator: pairs nontrivially with Umin, q-primary component
-    pair_vals = modp(Umin @ M, p)
-    w = None
-    for i in range(d):
-        if np.any(pair_vals[:, i]):
-            w = np.zeros(d, dtype=np.int64)
-            w[i] = 1
-            break
-    assert w is not None, "no partner found (form degenerate?)"
-    # CRT idempotent: 1 mod q^e, 0 mod the cofactor of mu
-    _, s1, t1 = gfp.pxgcd(qe, cof, p)
-    pi = gfp.pmod(pmul(t1, cof, p), mu, p)
-    wq = modp(gfp.peval_matrix(pi, h, p) @ w, p)
-    assert np.any(modp(Umin @ M @ wq, p)), "primary projection lost the pairing"
-    loc = gfp.local_min_poly(h, wq, p)
-    U1p = gfp.krylov_rows(h, wq, pdeg(loc), p)
-    both = np.concatenate([U1, U1p])
-    Mres = modp(both @ M @ both.T, p)
-    assert gfp.rank(Mres, p) == both.shape[0], "U1 + U1' is degenerate"
-    # recurse on the orthogonal complement
-    W = gfp.orthogonal_subspace(M, row_space(both, p), p)
-    MW = modp(W @ M @ W.T, p)
-    hW = _restrict(h, W, p)
-    UW, UWp = isotropic_invariant_split(MW, hW, p)
-    U = row_space(np.concatenate([U1, modp(UW @ W, p)]), p)
-    Up = row_space(np.concatenate([U1p, modp(UWp @ W, p)]), p)
-    _assert_split(M, h, U, Up, p)
-    return U, Up
+    ensure(gfp.is_alternating(M, p) and gfp.is_alternating(M @ H, p),
+           "form is not h-alternating")
+    divisors = gfp.elementary_divisors(H, p)        # sorted: equal ones adjacent
+    ensure(divisors[::2] == divisors[1::2],
+           "self-paired cycle divisor of odd multiplicity")
+    return divisors[::2]
 
 
-def _restrict(h, rows, p):
-    """h in the coordinates of an invariant row space."""
-    if rows.shape[0] == 0:
-        return zeros(0, 0)
-    coords = gfp.solve_rows(rows, modp(rows @ h.T, p), p)
-    assert coords is not None, "space is not h-invariant"
-    return coords.T
-
-
-def _assert_split(M, h, U, Up, p):
-    d = M.shape[0]
-    assert U.shape[0] + Up.shape[0] == d
-    assert gfp.subspace_intersection(U, Up, p).shape[0] == 0
-    for S in (U, Up):
-        assert not np.any(modp(S @ M @ S.T, p)), "half is not isotropic"
-        _restrict(h, S, p)  # raises if not invariant
+def _walk_map(rep: QuiverRep, start, steps):
+    """The composite of the maps h along steps, from the node start."""
+    H = eye(rep.dim[start])
+    for P in steps:
+        H = modp(rep.h[P] @ H, rep.p)
+    return H
 
 
 def _walk_sigma(rep: QuiverRep, start):
@@ -555,53 +516,48 @@ def _classify_component(rep: QuiverRep, comp) -> Counter:
         P1 = starts[0]
         walk = _walk_sigma(rep, P1)
         tau_walk = [rep.tau[P] for P in walk]
-        assert set(walk) | set(tau_walk) == comp, "chain walk missed nodes"
+        ensure(set(walk) | set(tau_walk) == comp, "chain walk missed nodes")
         top = tuple(rep.alpha[P] for P in walk)
         bottom = tuple(rep.alpha[P] for P in tau_walk)
         label = canonical_pair_label(False, top, bottom)
         dims = {rep.dim[P] for P in comp}
-        assert len(dims) == 1, "chain dims are not constant"
+        ensure(len(dims) == 1, "chain dims are not constant")
         d = dims.pop()
         if rep.tau[P1] in walk:
             # self-paired: the walk covers the component and tau reflects it
             n = len(walk)
-            assert all(rep.tau[walk[i]] == walk[n - 1 - i] for i in range(n))
-            H = eye(d)
-            for P in walk[:-1]:
-                H = modp(rep.h[P] @ H, p)
-            M = modp(rep.b[P1] @ H, p)
-            assert not np.any((M + M.T) % p) and not np.any(np.diagonal(M))
-            assert gfp.rank(M, p) == d and d % 2 == 0
+            ensure(all(rep.tau[walk[i]] == walk[n - 1 - i] for i in range(n)),
+                   "tau does not reflect the chain")
+            M = modp(rep.b[P1] @ _walk_map(rep, P1, walk[:-1]), p)
+            ensure(gfp.is_alternating(M, p),
+                   "self-paired chain form is not alternating")
+            ensure(gfp.rank(M, p) == d and d % 2 == 0,
+                   "self-paired chain form is degenerate")
             out[Indecomposable(False, *label, None, kind="chain-selfpaired")] += d // 2
         else:
-            assert not (set(walk) & set(tau_walk))
+            ensure(not (set(walk) & set(tau_walk)),
+                   "open chain meets its tau image")
             out[Indecomposable(False, *label, None, kind="chain-open")] += d
         return out
     # cycle case
     P1 = min(comp, key=lambda P: (rep.alpha[P], P))
     walk = _walk_sigma(rep, P1)
-    assert rep.sigma[walk[-1]] == P1, "cycle did not close"
+    ensure(rep.sigma[walk[-1]] == P1, "cycle did not close")
     top = tuple(rep.alpha[P] for P in walk)
     bottom = tuple(rep.alpha[rep.tau[P]] for P in walk)
     label = canonical_pair_label(True, top, bottom)
-    H = eye(rep.dim[P1])
-    for P in walk:
-        H = modp(rep.h[P] @ H, p)
+    H = _walk_map(rep, P1, walk)
     if rep.tau[P1] in walk:
-        s = walk.index(rep.tau[P1])
-        Hs = eye(rep.dim[P1])
-        for P in walk[:s]:
-            Hs = modp(rep.h[P] @ Hs, p)
-        M = modp(rep.b[P1] @ Hs, p)
-        U, _ = isotropic_invariant_split(M, H, p)
-        endo_mat = _restrict(H, U, p)
+        Hs = _walk_map(rep, P1, walk[:walk.index(rep.tau[P1])])
+        divisors = self_paired_divisors(modp(rep.b[P1] @ Hs, p), H, p)
         kind = "cycle-selfpaired"
     else:
-        assert not (set(walk) & {rep.tau[P] for P in walk})
-        endo_mat = H
+        ensure(not (set(walk) & {rep.tau[P] for P in walk}),
+               "split cycle meets its tau image")
+        divisors = gfp.elementary_divisors(H, p)
         kind = "cycle-split"
-    for qe in gfp.elementary_divisors(endo_mat, p):
-        assert qe[0] != 0, "cycle endomorphism is singular"
+    for qe in divisors:
+        ensure(qe[0] != 0, "cycle endomorphism is singular")
         out[Indecomposable(True, *label, tuple(qe), kind=kind)] += 1
     return out
 
@@ -617,72 +573,44 @@ def descriptor_equal(d1: Counter, d2: Counter) -> bool:
 def synthesize_normal_matrices(ind: Indecomposable, p: int):
     """(heights, a, c) realizing one indecomposable over F_p.
 
-    Finite label (k, l) of length n: 2n variables with heights k + l,
-    a = [[0, E], [-E, 0]], c = the nilpotent Jordan block pattern.  Periodic
-    label of period t with a prime-power endomorphism of degree n: 2tn
-    variables in 2t groups, identity blocks up the superdiagonal and the
-    companion matrix closing the cycle.
+    A label (top, bottom) of length t whose endomorphism has degree n (n = 1
+    on a finite label) takes 2tn variables in 2t groups of n, with the
+    heights of top + bottom; a = [[0, I], [-I, 0]], identity blocks of c pair
+    group g with group t + g + 1 (the nilpotent Jordan pattern), and on a
+    periodic label the companion matrix closes the cycle (group t - 1 with
+    group t).
     """
-    top, bottom = ind.top, ind.bottom
-    if not ind.periodic:
-        n = len(top)
-        heights = tuple(top + bottom)
-        a = zeros(2 * n, 2 * n)
-        c = zeros(2 * n, 2 * n)
-        for i in range(n):
-            a[i, n + i] = 1
-            a[n + i, i] = p - 1
-        for i in range(n - 1):
-            c[i, n + i + 1] = 1
-            c[n + i + 1, i] = p - 1
-        return heights, modp(a, p), modp(c, p)
-    t = len(top)
-    assert ind.endo is not None
-    n = pdeg(ind.endo)
-    Xi = companion(ind.endo, p)
-    heights = tuple(sum(([k] * n for k in top), [])) + \
-        tuple(sum(([l] * n for l in bottom), []))
-    N = 2 * t * n
-    a = zeros(N, N)
-    c = zeros(N, N)
-    for i in range(t * n):
-        a[i, t * n + i] = 1
-        a[t * n + i, i] = p - 1
+    ensure(not ind.periodic or ind.endo is not None,
+           "periodic indecomposable without endo")
+    t = len(ind.top)
+    n = pdeg(ind.endo) if ind.periodic else 1
+    m = t * n
+    heights = tuple(k for k in ind.top + ind.bottom for _ in range(n))
+    a = zeros(2 * m, 2 * m)
+    c = zeros(2 * m, 2 * m)
+    a[:m, m:] = eye(m)
     for g in range(t - 1):
-        for i in range(n):
-            c[g * n + i, t * n + (g + 1) * n + i] = 1
-            c[t * n + (g + 1) * n + i, g * n + i] = p - 1
-    for i in range(n):
-        for j in range(n):
-            val = int(Xi[j, i]) % p
-            c[(t - 1) * n + i, t * n + j] = val
-            c[t * n + j, (t - 1) * n + i] = (-val) % p
-    return heights, modp(a, p), modp(c, p)
+        c[g * n:(g + 1) * n, m + (g + 1) * n:m + (g + 2) * n] = eye(n)
+    if ind.periodic:
+        c[m - n:m, m:m + n] = companion(ind.endo, p).T
+    return heights, modp(a - a.T, p), modp(c - c.T, p)
 
 
 def synthesize_descriptor_matrices(desc: Counter, p: int):
     """Block-diagonal assembly over the descriptor multiset."""
-    entries = []
-    for ind in sorted(desc, key=_ind_sort_key):
-        for _ in range(desc[ind]):
-            entries.append(synthesize_normal_matrices(ind, p))
-    heights: list = []
-    blocks_a = []
-    blocks_c = []
-    for h, a, c in entries:
-        heights.extend(h)
-        blocks_a.append(a)
-        blocks_c.append(c)
+    blocks = [synthesize_normal_matrices(ind, p)
+              for ind in sorted(desc, key=_ind_sort_key) for _ in range(desc[ind])]
+    heights = tuple(k for hs, _, _ in blocks for k in hs)
     N = len(heights)
     A = zeros(N, N)
     C = zeros(N, N)
     at = 0
-    for a, c in zip(blocks_a, blocks_c):
+    for _, a, c in blocks:
         d = a.shape[0]
         A[at:at + d, at:at + d] = a
         C[at:at + d, at:at + d] = c
         at += d
-    return tuple(heights), modp(A, p), modp(C, p)
+    return heights, A, C
 
 
 def _ind_sort_key(ind: Indecomposable):

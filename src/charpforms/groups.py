@@ -26,7 +26,8 @@ class Derivation:
 
     def __post_init__(self):
         self.coeffs = tuple(self.coeffs)
-        assert len(self.coeffs) == self.spec.n
+        gfp.ensure(len(self.coeffs) == self.spec.n,
+                   "derivation needs one coefficient per variable")
 
     def in_gprime(self, j: int = 0) -> bool:
         """Membership in g'(F)_j = (m^2 ∩ m^(j+1)) W(F)."""
@@ -136,7 +137,7 @@ class Automorphism:
                 break
             z = [zi - lin.apply_to_element(r) for zi, r in zip(z, residual)]
         else:
-            raise AssertionError("inverse iteration did not converge")
+            raise gfp.CheckFailed("inverse iteration did not converge")
         return Automorphism(spec, z)
 
     # -- membership -------------------------------------------------------------

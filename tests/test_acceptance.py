@@ -294,7 +294,7 @@ def test_criterion_8_rep_axioms_and_splitter():
             np.fill_diagonal(c, 0)
             prim = grind_to_primitive(build_type1_object(3, heights, b, c))
             rep = extract_quiver_rep(prim)   # runs check_rep_axioms
-            decompose_rep(rep)               # runs the splitter assertions
+            decompose_rep(rep)               # runs the self-paired cycle checks
             reps.append(rep)
         corrupted = next(r for r in reps if any(s is not None
                                                 for s in r.sigma.values()))

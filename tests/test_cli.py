@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charpforms import cli
 from charpforms.algebra import AlgebraElement, FlagSpec
 from charpforms.classify import (SymplecticCandidate, invariants,
                                  random_form)
 from charpforms.cli import main
 from charpforms.forms import DiffForm
+from charpforms.gfp import CheckFailed
 from charpforms.groups import random_in
 from charpforms.jsonio import (FormatError, automorphism_from_json,
                                automorphism_to_json, form_from_json,
@@ -234,6 +236,30 @@ def test_cli_selftest(capsys):
                  "--iters", "5"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_selftest_failure_exits_3(monkeypatch, capsys):
+    """A failing property is an internal fault: exit 3, not 2 (malformed
+    input)."""
+    monkeypatch.setattr(cli, "cohomology_dims", lambda spec: [])
+    assert main(["selftest", "--p", "3", "--n", "2", "--seed", "4",
+                 "--iters", "1"]) == 3
+    assert "FAIL cohomology dimensions" in capsys.readouterr().out
+
+
+def test_cli_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
+    """A failed internal check exits 3 with a diagnostic, never 1 (a
+    negative decision) with a traceback."""
+    path = write_form(tmp_path, random_form("type1", FlagSpec(3, (1, 1)), 1))
+
+    def broken(cand):
+        raise CheckFailed("grinding lost dimensions")
+
+    monkeypatch.setattr(cli, "recognize", broken)
+    assert main(["check", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: grinding lost dimensions\n"
 
 
 @pytest.mark.parametrize("field, patch", [

@@ -56,6 +56,16 @@ def test_solve_and_inverse():
             assert np.array_equal(modp(A @ Ai, p), eye(4))
 
 
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_random_matrix_shapes(m, n):
+    """An empty random matrix keeps both dimensions, and draws nothing."""
+    rng = random.Random(1)
+    assert gfp.random_matrix(rng, m, n, 5).shape == (m, n)
+    assert gfp.random_invertible(random.Random(1), 0, 5).shape == (0, 0)
+    if m * n == 0:
+        assert rng.random() == random.Random(1).random()
+
+
 def test_nullspace():
     p = 3
     Z = nullspace(gfp.zeros(2, 2), p)

@@ -116,8 +116,8 @@ def test_nullspace_edge_inputs_match_sympy(p):
     rng = random.Random(600 + p)
     for m, n in [(1, 1), (2, 7), (5, 5), (7, 3), (6, 12), (16, 16)]:
         for r in range(min(m, n) + 1):
-            left = gfp.random_matrix(rng, m, r, p).reshape(m, r)
-            right = gfp.random_matrix(rng, r, n, p).reshape(r, n)
+            left = gfp.random_matrix(rng, m, r, p)
+            right = gfp.random_matrix(rng, r, n, p)
             _assert_nullspace_matches_sympy(gfp.modp(left @ right, p), p)
     for m, n in [(3, 4), (20, 20), (17, 17)]:
         _assert_nullspace_matches_sympy(gfp.zeros(m, n), p)

@@ -11,7 +11,7 @@ from charpforms.grind import (
     Indecomposable, build_type1_object, canonical_pair_label,
     classify_type1_matrices, decompose_rep, descriptor_equal,
     descriptor_weight_catalog, extract_quiver_rep, grind_to_primitive,
-    isotropic_invariant_split, synthesize_descriptor_matrices,
+    self_paired_divisors, synthesize_descriptor_matrices,
     synthesize_normal_matrices,
 )
 
@@ -175,30 +175,48 @@ def test_descriptor_invariance_under_T_moves():
                                     base)
 
 
-def test_isotropic_split_properties():
-    rng = random.Random(2)
-    p = 3
-    for _ in range(25):
-        m = rng.randrange(1, 4)
-        hU = gfp.random_invertible(rng, m, p)
-        # build (V, M, h) = hyperbolic double of (U, hU)
-        M = gfp.zeros(2 * m, 2 * m)
-        M[:m, m:] = gfp.eye(m)
-        M[m:, :m] = modp(-gfp.eye(m), p)
-        h = gfp.zeros(2 * m, 2 * m)
-        h[:m, :m] = hU
-        # the adjoint condition (u, hv) = (hu, v) forces the U' block
-        h[m:, m:] = modp(gfp.inverse(hU, p).T @ gfp.eye(m) @ hU.T @ hU, p)
-        h[m:, m:] = hU.T
-        # (u, hu) = 0 check may fail for this ad-hoc h; build via conjugation
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_self_paired_divisors_of_hyperbolic_double(p):
+    """On the conjugated hyperbolic double M = g^T [[0, I], [-I, 0]] g,
+    H = g^-1 diag(h_U, h_U^T) g, the halved divisors of H are those of h_U:
+    U = g^-1(first half) is an isotropic H-invariant half by construction.
+    h_U repeats a linear divisor and carries a square and an irreducible
+    quadratic."""
+    rng = random.Random(40 + p)
+    lin = (p - 1, 1)                                   # x - 1
+    quad = gfp.irreducibles(p, 2)[0]
+    pieces = [lin, lin, gfp.ppow(lin, 2, p), quad]
+    if p > 2:
+        pieces.append(gfp.ppow((p - 2, 1), 2, p))      # (x - 2)^2
+    for size in range(1, len(pieces) + 1):             # the last takes all
+        divs = sorted(rng.sample(pieces, size))
+        h0 = blkdiag(*(gfp.companion(q, p) for q in divs))
+        c = gfp.random_invertible(rng, h0.shape[0], p)
+        hU = modp(gfp.inverse(c, p) @ h0 @ c, p)
+        m = hU.shape[0]
+        M0 = gfp.zeros(2 * m, 2 * m)
+        M0[:m, m:] = gfp.eye(m)
+        M0[m:, :m] = modp(-gfp.eye(m), p)
         g = gfp.random_invertible(rng, 2 * m, p)
-        M2 = modp(g.T @ M @ g, p)
-        h2 = modp(gfp.inverse(g, p) @ h @ g, p)
-        Mh = modp(M2 @ h2, p)
-        if np.any((Mh + Mh.T) % p) or np.any(np.diagonal(Mh)):
-            continue
-        U, Up = isotropic_invariant_split(M2, h2, p)  # self-asserting
-        assert U.shape[0] == Up.shape[0] == m
+        M = modp(g.T @ M0 @ g, p)
+        H = modp(gfp.inverse(g, p) @ blkdiag(hU, hU.T) @ g, p)
+        assert gfp.elementary_divisors(hU, p) == divs
+        assert self_paired_divisors(M, H, p) == divs
+
+
+def test_self_paired_divisors_checks_its_hypotheses(monkeypatch):
+    """Negative controls: M H not alternating, and (with the alternating
+    checks bypassed) a divisor of odd multiplicity, both raise."""
+    p = 3
+    J = np.array([[1, 1], [0, 1]])                     # h_U != h_U^T
+    M0 = gfp.zeros(4, 4)
+    M0[:2, 2:] = gfp.eye(2)
+    M0[2:, :2] = modp(-gfp.eye(2), p)
+    with pytest.raises(gfp.CheckFailed, match="h-alternating"):
+        self_paired_divisors(M0, blkdiag(J, J), p)
+    monkeypatch.setattr(gfp, "is_alternating", lambda M, p: True)
+    with pytest.raises(gfp.CheckFailed, match="odd multiplicity"):
+        self_paired_divisors(modp(STD2, p), J, p)
 
 
 def test_grind_preserves_dims_and_rep_axioms():
