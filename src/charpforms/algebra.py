@@ -81,21 +81,6 @@ class OutOfAlgebraError(Exception):
         super().__init__(msg or f"divided power escapes the algebra at {mono}")
 
 
-@lru_cache(maxsize=None)
-def _fact_val_unit(m: int, p: int) -> tuple[int, int]:
-    """(v_p(m!), unit part of m! mod p) via Legendre and Wilson recursion."""
-    if m < p:
-        u = 1
-        for i in range(2, m + 1):
-            u = (u * i) % p
-        return 0, u
-    q, r = divmod(m, p)
-    v_rest, u_rest = _fact_val_unit(q, p)
-    _, u_low = _fact_val_unit(r, p)
-    sign = (p - 1) if q % 2 else 1  # (-1)^q from Wilson on each full block
-    return q + v_rest, (sign * u_low * u_rest) % p
-
-
 def binom_lucas(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by Lucas' theorem."""
     return _binom(n, k, p) if 0 <= k <= n else 0
@@ -105,25 +90,25 @@ def binom_lucas(n: int, k: int, p: int) -> int:
 def mono_dp_coeff(alpha: Mono, r: int, p: int) -> int:
     """Coefficient of (x^(alpha))^(r) = c * x^(r*alpha), exactly mod p.
 
-    c = prod_i (r*a_i)! / (r! * prod_i (a_i!)^r); evaluated through p-adic
-    valuations (Legendre) and factorial unit parts, never through big
-    integers.  A positive valuation means c = 0 mod p.
+    Over Q, (x^(alpha))^(r) = (x^(alpha))^r / r! and (x^(a))^r =
+    (r*a)!/(a!)^r x^(r*a), so c = prod_i (r*a_i)! / (r! * prod_i (a_i!)^r).
+    One coordinate gives (r*a)!/(r! (a!)^r) = prod_{j=1..r} C(j*a - 1, a - 1)
+    (choose the block of the smallest unplaced element, j = r..1), an
+    integer.  So with k coordinates a_i != 0, c = (r!)^{k-1} *
+    prod_{a_i != 0} prod_{j=1..r} C(j*a_i - 1, a_i - 1), every binomial from
+    the one table `_binom`.  For alpha = 0, c = 1/r!, which exists mod p
+    only for r < p.
     """
-    val = 0
-    unit = 1
-    for a in alpha:
-        v, u = _fact_val_unit(r * a, p)
-        val += v
-        unit = unit * u % p
-    v, u = _fact_val_unit(r, p)
-    val -= v
-    unit = unit * inv_scalar(u, p) % p
-    for a in alpha:
-        v, u = _fact_val_unit(a, p)
-        val -= r * v
-        unit = unit * pow(inv_scalar(u, p), r, p) % p
-    ensure(val >= 0, "divided power coefficient has negative valuation")
-    return 0 if val > 0 else unit
+    nonzero = [a for a in alpha if a]
+    fact = math.factorial(r) % p
+    if not nonzero:
+        ensure(fact != 0, "divided power coefficient has negative valuation")
+        return inv_scalar(fact, p)
+    c = pow(fact, len(nonzero) - 1, p)
+    for a in nonzero:
+        for j in range(1, r + 1):
+            c = c * _binom(j * a - 1, a - 1, p) % p
+    return c
 
 
 def _digits(r: int, p: int) -> list[int]:

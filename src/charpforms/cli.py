@@ -153,7 +153,10 @@ def cmd_flag_invariants(args) -> int:
                                 and _ints(row) for row in mat):
         raise FormatError("matrix", f"expected {n} integer rows of length {n} "
                                     f"(the last flag dimension)")
-    fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64).reshape(n, n))
+    try:
+        fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64).reshape(n, n))
+    except ValueError as ex:            # the only check left: b alternating
+        raise FormatError("matrix", str(ex))
     grid = invariants_nqt(fb)
     _emit({"p": p, "flag_dims": dims, "grid": grid.tolist()})
     return 0

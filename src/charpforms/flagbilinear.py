@@ -83,34 +83,32 @@ def _w_spaces(fb: FlaggedBilinear):
 
 def invariants_nqt(fb: FlaggedBilinear) -> np.ndarray:
     """The grid n_qt, 1 <= q, t <= r."""
-    return _grid(_w_spaces(fb), fb.r, fb.p)
+    return _grid(_w_spaces(fb), fb.r)
 
 
-def _grid(W: dict, r: int, p: int) -> np.ndarray:
-    """The grid n_qt, 1 <= q, t <= r, of the spaces W of `_w_spaces`."""
-    out = zeros(r, r)
-    for q in range(1, r + 1):
-        for t in range(1, r + 1):
-            sub = subspace_sum(W[q, t], W[q - 1, t - 1], p)
-            out[q - 1, t - 1] = W[q, t - 1].shape[0] - sub.shape[0]
-    return out
+def _grid(W: dict, r: int) -> np.ndarray:
+    """The grid n_qt, 1 <= q, t <= r, of the spaces W of `_w_spaces`, read
+    off their dimensions w(i, j) = dim W[i, j].
 
-
-def intersection_dims(fb: FlaggedBilinear) -> np.ndarray:
-    """dim(V_i ∩ V_j^⊥) for 1 <= i, j <= r (the orbit-separating data)."""
-    W = _w_spaces(fb)
-    r = fb.r
-    return np.array([[W[i, j].shape[0] for j in range(1, r + 1)]
-                     for i in range(1, r + 1)], dtype=np.int64)
+    n_qt = dim W[q, t-1] - dim(W[q, t] + W[q-1, t-1]), and since V_{q-1} ⊆
+    V_q and V_t^⊥ ⊆ V_{t-1}^⊥, W[q, t] ∩ W[q-1, t-1] = V_{q-1} ∩ V_t^⊥ =
+    W[q-1, t]; by dim(A + B) = dim A + dim B - dim(A ∩ B),
+    n_qt = w(q, t-1) - w(q, t) - w(q-1, t-1) + w(q-1, t).
+    """
+    w = np.array([[W[i, j].shape[0] for j in range(r + 1)]
+                  for i in range(r + 1)], dtype=np.int64)
+    return w[1:, :-1] - w[1:, 1:] - w[:-1, :-1] + w[:-1, 1:]
 
 
 def same_orbit_flagged(fb: FlaggedBilinear, fb2: FlaggedBilinear) -> bool:
+    """Whether b and b2 lie in one orbit of the stabilizer of their (equal)
+    flag: whether their grids agree (Cor. 4.4)."""
     if fb.p != fb2.p or len(fb.flag) != len(fb2.flag):
         raise ValueError("flag mismatch")
     for A, B in zip(fb.flag, fb2.flag):
         if not subspace_eq(A, B):
             raise ValueError("flag mismatch")
-    return np.array_equal(intersection_dims(fb), intersection_dims(fb2))
+    return np.array_equal(invariants_nqt(fb), invariants_nqt(fb2))
 
 
 def grid_ok(grid, dims, nondegenerate: bool | None = None) -> bool:
@@ -356,7 +354,7 @@ def invariants_form_functional(fb: FlaggedBilinear, k: int, f) -> AugmentedInvar
             best = t
     ensure(best is not None, "functional vanishes on the whole factor")
     ell = best + 1
-    grid = _grid(W, fb.r, p)
+    grid = _grid(W, fb.r)
     ensure(grid[k - 1, ell - 1] != 0, "augmented invariant needs n_kl != 0")
     return AugmentedInvariant.make(ell, grid)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -280,36 +279,16 @@ def _block_d_matrix(spec: FlagSpec, elems_k, elems_k1, p: int) -> np.ndarray:
 
 
 def cohomology_dims(spec: FlagSpec) -> list[int]:
-    """dim H^k for k = 0..n by block-wise rank-nullity.
+    """dim H^k for k = 0..n: the twisted complex at e = 0.
 
-    The block at multidegree w is determined up to literal equality of its
-    d-matrices by the pattern (w_i = 0 | w_i = cap_i | generic) per
-    coordinate, so each of the 3^n pattern classes is computed once and
-    weighted by its multiplicity.
+    With e = 0, d' = d.  The residue block of d' at a coordinate with
+    w_i = 0 mod p^{m_i} holds (0, i not in I) and (p^{m_i} - 1, i in I): the
+    d-blocks at w_i = 0 and w_i = p^{m_i}, which d never joins (it lowers
+    a_i only from a_i != 0, at a coordinate outside I).  Every other residue
+    is one d-block at 0 < w_i < p^{m_i}.  So the residue blocks are direct
+    sums of the d-blocks, and their dims add up to those of H^*(d).
     """
-    n = spec.n
-    p = spec.p
-    dims = [0] * (n + 1)
-    for pattern in itertools.product((0, 1, 2), repeat=n):
-        mult = 1
-        w = []
-        for i, kind in enumerate(pattern):
-            if kind == 0:
-                w.append(0)
-            elif kind == 1:
-                w.append(spec.caps[i])
-            else:
-                mult *= spec.caps[i] - 1   # caps are >= 2, so never zero
-                w.append(1)
-        blocks = _block_elements(spec, tuple(w))
-        for k in range(n + 1):
-            ek = blocks.get(k, [])
-            if not ek:
-                continue
-            up = _block_d_matrix(spec, ek, blocks.get(k + 1, []), p)
-            down = _block_d_matrix(spec, blocks.get(k - 1, []), ek, p)
-            dims[k] += mult * (len(ek) - gfp.rank(up, p) - gfp.rank(down, p))
-    return dims
+    return twisted_cohomology_dims(spec, [0] * spec.n)
 
 
 def top_monomial(spec: FlagSpec, I: tuple) -> tuple:
@@ -485,24 +464,16 @@ def eta_form(spec: FlagSpec, e) -> DiffForm:
 # are computed once and weighted by multiplicity.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pattern_counts(spec: FlagSpec) -> dict:
-    """Multiplicities of the residue zero-patterns; w_i = 0 happens once per
-    coordinate, so the count is a product of (1 or cap_i - 1) factors."""
-    return {pattern: math.prod(1 if z else cap - 1
-                               for z, cap in zip(pattern, spec.caps))
-            for pattern in itertools.product((False, True), repeat=spec.n)}
-
-
 def twisted_cohomology_dims(spec: FlagSpec, e) -> list[int]:
-    p = spec.p
-    n = spec.n
-    e = [int(c) % p for c in e]
-    dims = [0] * (n + 1)
-    for pattern, mult in sorted(_pattern_counts(spec).items()):
-        block = _twisted_block_dims(spec, pattern, e)
-        for k in range(n + 1):
-            dims[k] += mult * block[k]
+    """dim H^k(d') for k = 0..n: each residue zero-pattern once, weighted by
+    its multiplicity; w_i = 0 happens once per coordinate, so the count is a
+    product of (1 or cap_i - 1) factors."""
+    e = [int(c) % spec.p for c in e]
+    dims = [0] * (spec.n + 1)
+    for pattern in itertools.product((False, True), repeat=spec.n):
+        mult = math.prod(1 if z else cap - 1 for z, cap in zip(pattern, spec.caps))
+        for k, dim in enumerate(_twisted_block_dims(spec, pattern, e)):
+            dims[k] += mult * dim
     return dims
 
 
@@ -512,14 +483,10 @@ def _twisted_block_dims(spec: FlagSpec, pattern, e) -> list[int]:
     n = spec.n
     # block elements: per coordinate, w_i != 0 gives (w_i, out) / (w_i-1, in);
     # w_i = 0 gives (0, out) / (cap_i - 1, in).  Only the in/out bit matters.
-    by_degree: dict = {}
-    for I_bits in itertools.product((False, True), repeat=n):
-        I = tuple(i for i in range(n) if I_bits[i])
-        by_degree.setdefault(len(I), []).append(I)
-    mats = {}
+    by_degree = [list(itertools.combinations(range(n), k)) for k in range(n + 2)]
+    mats = []
     for k in range(n + 1):
-        src = by_degree.get(k, [])
-        dst = by_degree.get(k + 1, [])
+        src, dst = by_degree[k], by_degree[k + 1]
         index = {I: r for r, I in enumerate(dst)}
         M = gfp.zeros(len(dst), len(src))
         for c, I in enumerate(src):
@@ -531,25 +498,18 @@ def _twisted_block_dims(spec: FlagSpec, pattern, e) -> list[int]:
                 # eta-part needs a_i = 0 and multiplies by the top power:
                 # target exponent cap-1, i.e. the in-option of a w_i = 0 slot.
                 J, sign = _insert_sign(i, I)
-                r = index.get(J)
-                if r is None:
-                    continue
                 if not pattern[i]:
-                    M[r, c] = (M[r, c] + sign) % p
+                    M[index[J], c] = (M[index[J], c] + sign) % p
                 elif e[i]:
-                    M[r, c] = (M[r, c] + sign * e[i]) % p
-        mats[k] = M
+                    M[index[J], c] = (M[index[J], c] + sign * e[i]) % p
+        mats.append(M)
     # d'^2 = 0 on the block
     for k in range(n):
         comp = gfp.modp(mats[k + 1] @ mats[k], p)
         ensure(not np.any(comp), "twisted differential does not square to zero")
-    out = []
-    for k in range(n + 1):
-        dim_k = len(by_degree.get(k, []))
-        up = gfp.rank(mats[k], p) if k in mats else 0
-        down = gfp.rank(mats[k - 1], p) if k - 1 in mats else 0
-        out.append(dim_k - up - down)
-    return out
+    ranks = [gfp.rank(M, p) for M in mats]
+    return [len(by_degree[k]) - ranks[k] - (ranks[k - 1] if k else 0)
+            for k in range(n + 1)]
 
 
 def twisted_d(omega: DiffForm, e) -> DiffForm:

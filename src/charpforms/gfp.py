@@ -7,7 +7,7 @@ pairing b: V x U -> K is a matrix of shape (dim V, dim U) with
 b(v, u) = v^T b u.
 
 Every row reduction (rref, rank, nullspace, solves, inverse, determinant,
-quotient projections) uses one pivot rule: the pivot of a column is the first
+quotient sections) uses one pivot rule: the pivot of a column is the first
 row, at or below the current one, with a nonzero entry there.  Matrices with
 at most SMALL_ENTRIES entries (m*n <= 256, the 16x16 and smaller systems of
 the classification pipeline) are reduced as lists of Python-int rows
@@ -377,44 +377,28 @@ def preimage_rows(M, S, p: int) -> np.ndarray:
     return nullspace(nullspace(S, p) @ modp(M, p), p)
 
 
+def _pivots(R: np.ndarray) -> list[int]:
+    """Pivot columns of an rref matrix without zero rows."""
+    return [int(np.flatnonzero(row)[0]) for row in R]
+
+
 def quotient_section(sub, sup, p: int) -> np.ndarray:
-    """Canonical complement of `sub` inside `sup` (sub ⊆ sup, rows in ambient).
+    """Canonical complement of `sub` inside `sup` (sub ⊆ sup, both rref).
 
     The rref of the vectors of sup that vanish at sub's pivot columns: each
-    row of sup is reduced at those pivots by the rref rows of sub, and the
+    row of sup is reduced at those pivots by the rows of sub, and the
     results are eliminated once.
     """
-    sub, n = _rows(sub, p)
-    reducers = list(zip(_eliminate(sub, n, p), sub))
-    rows = []
-    for v in _rows(sup, p)[0]:
+    reducers = list(zip(_pivots(sub), _rows(sub, p)[0]))
+    rows, n = _rows(sup, p)
+    for i, v in enumerate(rows):
         for c, w in reducers:
             f = v[c]
             if f:
                 v = [(x - f * y) % p for x, y in zip(v, w)]
-        rows.append(v)
+        rows[i] = v
     del rows[len(_eliminate(rows, n, p)):]
     return _matrix(rows, n)
-
-
-def quotient_projection(sub, section, p: int) -> np.ndarray:
-    """Matrix P with P @ v = section-coordinates of v modulo sub.
-
-    Valid on sub + span(section); callers must stay inside that space.
-    Reduces [B | I] for B = [sub; section]: the right half C satisfies
-    C @ B = rref(B), so a vector v of span(B) has B-coordinates
-    v[pivots] @ C.
-    """
-    B, n = _rows(np.concatenate([sub, section], axis=0), p)
-    m = len(B)
-    k = section.shape[0]
-    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(B)]
-    pivots = _eliminate(aug, n + m, p)
-    P = [[0] * n for _ in range(k)]
-    for row, c in zip(aug, pivots):
-        for i, val in enumerate(row[n + m - k:]):
-            P[i][c] = val
-    return _matrix(P, n)
 
 
 @dataclass(frozen=True)
@@ -439,7 +423,18 @@ class Factor:
 
     @cached_property
     def _projection_t(self) -> np.ndarray:
-        return quotient_projection(self.sub, self.section, self.p).T
+        """P^T, where P @ v holds the section coordinates of v in sup.
+
+        Let s be sub's pivots and t the section's (the section vanishes at
+        s).  For v in sup the residue v - v[s] @ sub vanishes at s, so it
+        lies in span(section), where the coordinates are the entries at t:
+        P = I[t] - sub[:, t]^T @ I[s].
+        """
+        s, t = _pivots(self.sub), _pivots(self.section)
+        Pt = zeros(self.ambient, self.dim)
+        Pt[t, np.arange(self.dim)] = 1
+        Pt[s] = -self.sub[:, t] % self.p
+        return Pt
 
     def project_vectors(self, vecs: np.ndarray) -> np.ndarray:
         """Factor coordinates of ambient row vectors (must lie in sup)."""
@@ -452,8 +447,8 @@ class Factor:
 
 
 def make_factor(sub, sup, p: int) -> Factor:
-    sub = row_space(sub, p)
-    sup = row_space(sup, p)
+    """The factor sup/sub; sub ⊆ sup must both be rref without zero rows
+    (as `row_space`, `nullspace` and the flags return them)."""
     return Factor(sub, sup, quotient_section(sub, sup, p), p)
 
 
@@ -522,15 +517,12 @@ class FlagChain:
             ensure(subspace_leq(A, B, self.p), "flag not monotone")
 
 
-def make_flag(ambient_dim: int, direction: str, finite_spaces, p: int,
-              inf=None, inf1=None) -> FlagChain:
+def make_flag(ambient_dim: int, direction: str, finite_spaces, p: int) -> FlagChain:
+    """The flag with the given finite spaces; INF holds the last of them and
+    INF1 the whole space (increasing) or zero (decreasing)."""
     fin = tuple(row_space(np.asarray(S, dtype=np.int64), p) for S in finite_spaces)
-    inf = fin[-1] if inf is None else row_space(np.asarray(inf, dtype=np.int64), p)
-    if inf1 is None:
-        inf1 = full_space(ambient_dim) if direction == "inc" else empty_space(ambient_dim)
-    else:
-        inf1 = row_space(np.asarray(inf1, dtype=np.int64), p)
-    flag = FlagChain(ambient_dim, direction, fin, inf, inf1, p)
+    inf1 = full_space(ambient_dim) if direction == "inc" else empty_space(ambient_dim)
+    flag = FlagChain(ambient_dim, direction, fin, fin[-1], inf1, p)
     flag.check()
     return flag
 

@@ -28,12 +28,19 @@ def _ints(values) -> bool:
 
 
 def _need(data: dict, field: str, types):
-    if field not in data:
+    if not isinstance(data, dict) or field not in data:
         raise FormatError(field, "missing field")
     val = data[field]
     if not isinstance(val, types) or isinstance(val, bool):   # no field is boolean
         raise FormatError(field, f"expected {types}, got {type(val).__name__}")
     return val
+
+
+def _int_tuple(val, field: str) -> tuple:
+    """val as a tuple, if it is a list of integers."""
+    if not isinstance(val, list) or not _ints(val):
+        raise FormatError(field, "expected a list of integers")
+    return tuple(val)
 
 
 def check_p(p: int) -> None:
@@ -185,16 +192,21 @@ def descriptor_from_json(data) -> Counter:
     if not isinstance(data, list):
         raise FormatError("descriptor", "expected a list")
     for i, rec in enumerate(data):
+        field = f"descriptor[{i}]"
+        if not isinstance(rec, dict):
+            raise FormatError(field, "expected a record")
         label = _need(rec, "label", dict)
         kind = _need(label, "kind", str)
         if kind not in ("finite", "periodic"):
-            raise FormatError(f"descriptor[{i}].label.kind", "finite|periodic")
-        top = tuple(_need(label, "top", list))
-        bottom = tuple(_need(label, "bottom", list))
+            raise FormatError(f"{field}.label.kind", "finite|periodic")
+        top, bottom = (_int_tuple(label.get(key), f"{field}.label.{key}")
+                       for key in ("top", "bottom"))
         endo = rec.get("endo")
-        out[Indecomposable(kind == "periodic", top, bottom,
-                           tuple(endo) if endo is not None else None)] += \
-            rec.get("mult", 1)
+        mult = rec.get("mult", 1)
+        if not _ints([mult]) or mult < 1:
+            raise FormatError(f"{field}.mult", "expected a positive integer")
+        out[Indecomposable(kind == "periodic", top, bottom, None if endo is None
+                           else _int_tuple(endo, f"{field}.endo"))] += mult
     return out
 
 
@@ -215,7 +227,7 @@ def invariants_from_json(data: dict):
     if kind == "type1":
         return descriptor_from_json(_need(data, "descriptor", list))
     rec = _need(data, "invariants", dict)
-    grid = tuple(tuple(int(x) for x in row) for row in _need(rec, "grid", list))
+    grid = tuple(_int_tuple(row, "grid") for row in _need(rec, "grid", list))
     if kind == "type2":
         return Type2Invariant(_need(rec, "k", int), _need(rec, "l", int), grid)
     if kind == "contact":

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from charpforms.algebra import (
     AlgebraElement, C_k_basis_count, FlagSpec, OutOfAlgebraError,
-    _fact_val_unit, binom_lucas, mono_dp_coeff, multiplication_matrix,
+    binom_lucas, mono_dp_coeff, multiplication_matrix,
     random_element, render_element,
 )
+from charpforms.gfp import SUPPORTED_PRIMES, CheckFailed
 
 
 def dp_coeff_bigint(alpha, r, p):
@@ -27,18 +28,6 @@ def dp_coeff_bigint(alpha, r, p):
     return q % p
 
 
-def test_fact_val_unit_against_bigint():
-    for p in (2, 3, 5, 7):
-        for m in range(0, 200):
-            v, u = _fact_val_unit(m, p)
-            f = math.factorial(m)
-            vv = 0
-            while f % p == 0:
-                f //= p
-                vv += 1
-            assert (v, u) == (vv, f % p), (p, m)
-
-
 def test_binom_lucas():
     for p in (2, 3, 5):
         for n in range(0, 40):
@@ -47,14 +36,28 @@ def test_binom_lucas():
 
 
 def test_mono_dp_coeff_against_bigint():
+    """Every prime, r up to 3p: past r = p the factor (r!)^{k-1} vanishes
+    and the binomials run through Lucas' theorem past the table."""
     rng = random.Random(1)
-    for p in (2, 3, 5):
-        for _ in range(200):
+    for p in SUPPORTED_PRIMES:
+        for _ in range(300):
             alpha = tuple(rng.randrange(0, 9) for _ in range(rng.randrange(1, 4)))
             if not any(alpha):
                 continue
-            r = rng.randrange(1, 8)
+            r = rng.randrange(1, 3 * p + 1)
             assert mono_dp_coeff(alpha, r, p) == dp_coeff_bigint(alpha, r, p)
+        for r in range(1, 3 * p + 1):
+            for alpha in ((1,), (p - 1, 0), (p, 1), (p + 1, 2 * p - 1, 1)):
+                assert mono_dp_coeff(alpha, r, p) == dp_coeff_bigint(alpha, r, p)
+
+
+def test_mono_dp_coeff_at_zero_exponent():
+    """(x^(0))^(r) = 1^(r) = 1/r!, defined mod p only for r < p."""
+    for p in SUPPORTED_PRIMES:
+        for r in range(p):
+            assert mono_dp_coeff((0, 0), r, p) * math.factorial(r) % p == 1
+        with pytest.raises(CheckFailed):
+            mono_dp_coeff((0,), p, p)
 
 
 def test_spec_validation():

@@ -63,12 +63,35 @@ def test_descriptor_and_invariants_json():
         json.dumps(invariants_to_json(inv2)))) == inv2
 
 
+_RECORD = {"label": {"kind": "finite", "top": [1], "bottom": [1]},
+           "endo": None, "mult": 1}
+
+
+def _type1(**change):
+    """A one-record type-1 invariants object, with fields of the record
+    (and of its label) replaced."""
+    label = {**_RECORD["label"], **change.pop("label", {})}
+    return {"kind": "type1", "descriptor": [{**_RECORD, "label": label, **change}]}
+
+
 @pytest.mark.parametrize("data, field", [
     ({"kind": "type2", "invariants": {"l": 1, "grid": [[1]]}}, "k"),
     ({"kind": "type2", "invariants": {"k": 1, "grid": [[1]]}}, "l"),
     ({"kind": "contact", "invariants": {"grid": [[1]]}}, "k"),
-    ({"kind": "contact", "invariants": {"k": True, "grid": [[1]]}}, "k")])
+    ({"kind": "contact", "invariants": {"k": True, "grid": [[1]]}}, "k"),
+    ({"kind": "type1", "descriptor": [5]}, "descriptor[0]"),
+    (_type1(label={"top": ["a"]}), "descriptor[0].label.top"),
+    (_type1(label={"bottom": 2}), "descriptor[0].label.bottom"),
+    (_type1(mult="x"), "descriptor[0].mult"),
+    (_type1(mult=0), "descriptor[0].mult"),
+    (_type1(endo=7), "descriptor[0].endo"),
+    (_type1(endo=[1, True]), "descriptor[0].endo"),
+    ({"kind": "type2", "invariants": {"k": 1, "l": 1, "grid": [["a"]]}}, "grid"),
+    ({"kind": "contact", "invariants": {"k": 1, "grid": [1]}}, "grid"),
+    (5, "kind")])
 def test_invariants_from_json_missing_field(data, field):
+    """A missing or malformed field raises FormatError naming it."""
+    assert invariants_from_json(_type1())     # the unchanged record is valid
     with pytest.raises(FormatError) as ex:
         invariants_from_json(data)
     assert ex.value.field == field
@@ -219,6 +242,17 @@ def test_cli_flag_invariants(tmp_path, capsys):
     assert main(["flag-invariants", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["grid"] == [[0, 1], [1, 0]]
+
+
+def test_cli_flag_invariants_rejects_non_alternating_matrix(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"p": 3, "flag_dims": [1, 2],
+                                "matrix": [[0, 1], [1, 0]]}))
+    assert main(["flag-invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: matrix: form must be antisymmetric with "
+                            "zero diagonal\n")
 
 
 def test_cli_flag_invariants_rejects_composite_p(tmp_path, capsys):

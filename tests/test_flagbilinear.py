@@ -5,10 +5,10 @@ import pytest
 
 from charpforms import gfp
 from charpforms.flagbilinear import (
-    admissible_grids, brute_force_orbit_partition, canonical_flag_basis,
-    coordinate_flag, flagged_from_dims, grid_canonical_matrix, grid_fibers,
-    grid_ok, invariants_contact_pair, invariants_form_functional,
-    invariants_nqt, same_orbit_flagged,
+    FlaggedBilinear, admissible_grids, brute_force_orbit_partition,
+    canonical_flag_basis, coordinate_flag, flagged_from_dims,
+    grid_canonical_matrix, grid_fibers, grid_ok, invariants_contact_pair,
+    invariants_form_functional, invariants_nqt, same_orbit_flagged,
 )
 from charpforms.gfp import modp
 
@@ -67,6 +67,35 @@ def test_same_orbit():
         fb2 = flagged_from_dims(p, dims, modp(A.T @ M @ A, p))
         assert same_orbit_flagged(fb1, fb2)
         assert np.array_equal(invariants_nqt(fb1), invariants_nqt(fb2))
+
+
+def nqt_by_subspace_sums(fb):
+    """The defining n_qt = dim W[q, t-1] - dim(W[q, t] + W[q-1, t-1]),
+    W[i, j] = V_i ∩ V_j^⊥, by one subspace sum per cell."""
+    p, r = fb.p, fb.r
+    orth = [gfp.orthogonal_subspace(fb.b, S, p) for S in fb.flag]
+    W = {(i, j): gfp.subspace_intersection(fb.flag[i], orth[j], p)
+         for i in range(r + 1) for j in range(r + 1)}
+    out = gfp.zeros(r, r)
+    for q in range(1, r + 1):
+        for t in range(1, r + 1):
+            total = gfp.subspace_sum(W[q, t], W[q - 1, t - 1], p)
+            out[q - 1, t - 1] = W[q, t - 1].shape[0] - total.shape[0]
+    return out
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_grid_matches_subspace_sum_definition(p):
+    """The grid read off dim W[i, j] equals the subspace-sum definition on
+    random forms and flags moved by a random invertible g (r <= 4)."""
+    rng = random.Random(p)
+    for _ in range(25):
+        d = rng.randrange(1, 7)
+        dims = sorted(rng.sample(range(1, d), min(d - 1, rng.randrange(4)))) + [d]
+        g = gfp.random_invertible(rng, d, p)
+        flag = tuple(gfp.row_space(S @ g, p) for S in coordinate_flag(dims))
+        fb = FlaggedBilinear(p, flag, random_antisym(rng, d, p))
+        assert np.array_equal(invariants_nqt(fb), nqt_by_subspace_sums(fb))
 
 
 def test_grid_constraints_hold():

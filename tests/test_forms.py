@@ -13,6 +13,7 @@ from charpforms.forms import (
     lie_derivative, render_form, top_monomial, twisted_cohomology_dims,
     twisted_d,
 )
+from charpforms.forms import _block_d_matrix, _block_elements
 
 
 def random_form(rng, spec, degree, terms=2):
@@ -138,7 +139,8 @@ def test_evaluate_matches_coordinates():
 
 @pytest.mark.parametrize("p,heights", [(2, (1,)), (2, (1, 1)), (3, (1,)),
                                        (3, (2,)), (3, (1, 1)), (5, (1, 1)),
-                                       (2, (2, 1)), (3, (1, 1, 1))])
+                                       (2, (2, 1)), (3, (1, 1, 1)),
+                                       (3, (1, 2)), (5, (2,))])
 def test_cohomology_dims_match_dense_oracle(p, heights):
     s = FlagSpec(p, heights)
     block = cohomology_dims(s)
@@ -262,8 +264,19 @@ def test_twisted_acyclic_small_vs_dense():
 
 
 def test_twisted_zero_e_matches_untwisted():
-    s = FlagSpec(3, (1, 1))
-    assert twisted_cohomology_dims(s, [0, 0]) == cohomology_dims(s)
+    """At e = 0 the residue blocks add up to the d-blocks of every
+    multidegree w, 0 <= w_i <= p^{m_i}, counted one by one."""
+    for p, heights in [(3, (1, 1)), (2, (2, 1)), (3, (1, 2)), (2, (1, 1, 1))]:
+        s = FlagSpec(p, heights)
+        blockwise = [0] * (s.n + 1)
+        for w in itertools.product(*(range(cap + 1) for cap in s.caps)):
+            blocks = _block_elements(s, w)
+            for k, ek in blocks.items():
+                up = _block_d_matrix(s, ek, blocks.get(k + 1, []), p)
+                down = _block_d_matrix(s, blocks.get(k - 1, []), ek, p)
+                blockwise[k] += len(ek) - gfp.rank(up, p) - gfp.rank(down, p)
+        assert twisted_cohomology_dims(s, [0] * s.n) == blockwise
+        assert cohomology_dims(s) == blockwise
 
 
 def test_render_form():

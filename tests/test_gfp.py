@@ -125,6 +125,21 @@ def test_quotient_section_is_canonical_complement(data):
     assert np.array_equal(quotient_section(sub, A, p), sec)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_project_vectors_match_solve_rows(data):
+    """Factor coordinates read at pivots are the section coordinates that
+    solving c @ [sub; section] = v gives, for random v in sup."""
+    p = data.draw(st.sampled_from(gfp.SUPPORTED_PRIMES))
+    n = data.draw(st.integers(1, 6))
+    sup = row_space(_matrix_rows(data, p, 6, n), p)
+    sub = row_space(modp(_matrix_rows(data, p, 4, sup.shape[0]) @ sup, p), p)
+    fac = make_factor(sub, sup, p)
+    V = modp(_matrix_rows(data, p, 4, sup.shape[0]) @ sup, p)
+    coeffs = solve_rows(np.concatenate([sub, fac.section]), V, p)
+    assert np.array_equal(fac.project_vectors(V), coeffs[:, sub.shape[0]:])
+
+
 def test_orthogonal_examples():
     # nondegenerate on F_3^2, M full -> 0
     p = 3
