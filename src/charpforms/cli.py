@@ -185,7 +185,11 @@ def cmd_selftest(args) -> int:
     rng = _random.Random(seed)
     p = args.p
     check_p(p)
-    n = max(1, args.n)
+    for field in ("n", "iters"):
+        value = getattr(args, field)
+        if value < 1:
+            raise FormatError(field, f"expected an integer >= 1, got {value}")
+    n = args.n
     heights = tuple(rng.choice([1, 2]) for _ in range(n))
     spec = FlagSpec(p, heights)
     failures = 0

@@ -382,13 +382,11 @@ def invariants_contact_pair(p: int, flag: tuple, f, b) -> AugmentedInvariant:
             k = q
             break
     ensure(k is not None, "f vanishes on V")
-    # restrict to Q coordinates
+    # restrict to Q coordinates: Q ∩ S in the basis Q is {x : x @ Q in S},
+    # the preimage of S under the inclusion x -> x @ Q
     bq = modp(Q @ b @ Q.T, p)
-    sub_flag = []
-    for S in flag:
-        inter = subspace_intersection(S, Q, p)
-        sub_flag.append(row_space(gfp.solve_rows(Q, inter, p), p))
-    fbq = FlaggedBilinear(p, tuple(sub_flag), bq)
+    sub_flag = tuple(gfp.preimage_rows(Q.T, S, p) for S in flag)
+    fbq = FlaggedBilinear(p, sub_flag, bq)
     return AugmentedInvariant.make(k, invariants_nqt(fbq))
 
 

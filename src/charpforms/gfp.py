@@ -341,15 +341,30 @@ def subspace_sum(A, B, p: int) -> np.ndarray:
     return row_space(np.concatenate([A, B], axis=0), p)
 
 
+def _zassenhaus(A, B, C, p: int) -> np.ndarray:
+    """Canonical basis (rref) of {x @ B : x @ A in the row space of C}.
+
+    A and B have one row per x; C has A's columns.  Returns the B-block of
+    the rows of R = rref([[A, B], [C, 0]]) whose A-block is zero.  The row
+    space of [[A, B], [C, 0]] is {(x A + y C, x B)}; its vectors with a zero
+    A-block are exactly (0, x B) with x A = -y C in the row space of C.  The
+    rows of R with their pivot in the B-block span the row-space vectors
+    that vanish on the A-block, and are zero there themselves; their
+    B-blocks are reduced at their pivots and zero above and below them, so
+    they form the rref of that space.  One elimination.
+    """
+    a, n = A.shape[1], B.shape[1]
+    rows = [x + y for x, y in zip(_rows(A, p)[0], _rows(B, p)[0])]
+    rows += [c + [0] * n for c in _rows(C, p)[0]]
+    pivots = _eliminate(rows, a + n, p)
+    return _matrix([row[a:] for row, c in zip(rows, pivots) if c >= a], n)
+
+
 def subspace_intersection(A, B, p: int) -> np.ndarray:
+    """A ∩ B: {x @ A : x @ A in B} (Zassenhaus)."""
     if A.shape[1] != B.shape[1]:
         raise ValueError("ambient dimension mismatch")
-    # Zassenhaus: in the rref of [[A, A], [B, 0]] the rows whose left half
-    # is zero carry, in their right half, the rref of the intersection.
-    n = A.shape[1]
-    rows = [a + a for a in _rows(A, p)[0]] + [b + [0] * n for b in _rows(B, p)[0]]
-    pivots = _eliminate(rows, 2 * n, p)
-    return _matrix([row[n:] for row, c in zip(rows, pivots) if c >= n], n)
+    return _zassenhaus(A, A, B, p)
 
 
 def subspace_eq(A, B) -> bool:
@@ -363,18 +378,20 @@ def subspace_leq(A, B, p: int) -> bool:
     return rank(np.concatenate([B, A], axis=0), p) == B.shape[0]
 
 
-def map_rows(M, S, p: int) -> np.ndarray:
-    """Row basis of the image of the subspace S under v -> M @ v."""
-    return row_space(S @ modp(M, p).T, p)
-
-
 def preimage_rows(M, S, p: int) -> np.ndarray:
-    """Row basis of {v : M @ v in row space of S}.
+    """Row basis of {v : M @ v in row space of S}: the rows x of the identity
+    with x @ M^T in S (Zassenhaus on (M^T, I, S)); M may be singular or
+    rectangular."""
+    M = modp(M, p)
+    return _zassenhaus(M.T, eye(M.shape[1]), S, p)
 
-    M @ v lies in S exactly when every vector annihilating S (the nullspace
-    of S) annihilates M @ v.
-    """
-    return nullspace(nullspace(S, p) @ modp(M, p), p)
+
+def component_in(S, sub, V, p: int) -> np.ndarray:
+    """The S-parts of the rows v of V, each written as v = s + u with s in S
+    and u in sub (solved against [S; sub] with free coordinates zero)."""
+    coeffs = solve_rows(np.concatenate([S, sub], axis=0), V, p)
+    ensure(coeffs is not None, "vectors outside S + sub")
+    return modp(coeffs[:, : S.shape[0]] @ S, p)
 
 
 def _pivots(R: np.ndarray) -> list[int]:
@@ -436,14 +453,20 @@ class Factor:
         Pt[s] = -self.sub[:, t] % self.p
         return Pt
 
+    @cached_property
+    def _sup_coords(self) -> np.ndarray:
+        """The rows of sup in factor coordinates: sup @ P^T."""
+        return self.sup @ self._projection_t
+
     def project_vectors(self, vecs: np.ndarray) -> np.ndarray:
         """Factor coordinates of ambient row vectors (must lie in sup)."""
         return modp(vecs @ self._projection_t, self.p)
 
     def image_of(self, S: np.ndarray) -> np.ndarray:
-        """Image of a subspace S: ((S ∩ sup) + sub)/sub, in factor coords."""
-        inter = subspace_intersection(S, self.sup, self.p)
-        return row_space(self.project_vectors(inter), self.p)
+        """Image of a subspace S: ((S ∩ sup) + sub)/sub, in factor coords,
+        the projections x @ sup @ P^T of the x @ sup in S (Zassenhaus on
+        (sup, sup @ P^T, S))."""
+        return _zassenhaus(self.sup, self._sup_coords, S, self.p)
 
 
 def make_factor(sub, sup, p: int) -> Factor:
@@ -527,12 +550,6 @@ def make_flag(ambient_dim: int, direction: str, finite_spaces, p: int) -> FlagCh
     return flag
 
 
-def increasing_flag_from_dims(dims, ambient: int, p: int) -> FlagChain:
-    """0 = V_0 ⊆ V_1 ⊆ ... with V_i spanned by the first dims[i] coordinates."""
-    spaces = [empty_space(ambient)] + [eye(ambient)[:d] for d in dims]
-    return make_flag(ambient, "inc", spaces, p)
-
-
 def only_inf_flag(ambient_dim: int, direction: str, p: int) -> FlagChain:
     """The flag whose single nonzero factor sits at the infinity slot."""
     if direction == "inc":
@@ -541,10 +558,11 @@ def only_inf_flag(ambient_dim: int, direction: str, p: int) -> FlagChain:
 
 
 # ---------------------------------------------------------------------------
-# Pairings, orthogonals and flag transfer.  Transferring a flag F into a
-# factor Φ_k(target) moves every space of F (b-orthogonal, preimage or image)
-# and reads the moved flag in Φ_k.  The moved flag does not depend on the
-# target label, so callers that transfer into several factors move F once.
+# Pairings, orthogonals and flag transfer.  Through a pairing b, a flag F is
+# transferred into a factor Φ_k(target) by reading its b-orthogonal flag in
+# Φ_k: restrict_flag(orthogonal_flag(b, F, p), target, k), where the
+# orthogonal flag does not depend on k.  Through an isomorphism, each space
+# of F is read straight into Φ_k by one elimination (transfer_flag_via_iso).
 # ---------------------------------------------------------------------------
 
 def orthogonal_subspace(b, M, p: int) -> np.ndarray:
@@ -570,38 +588,22 @@ def orthogonal_flag(b, F: FlagChain, p: int) -> FlagChain:
     return FlagChain(n, direction, fin, inf, inf1, p)
 
 
-def moved_flag(mu, F: FlagChain, p: int, mode: str = "preimage") -> FlagChain:
-    """F moved through the isomorphism mu: mode="preimage" takes preimages
-    (F on mu's codomain), mode="image" images (F on mu's domain)."""
-    if mode == "preimage":
-        n, move = mu.shape[1], preimage_rows
-    else:
-        n, move = mu.shape[0], map_rows
-    fin = tuple(move(mu, S, p) for S in F.finite)
-    return FlagChain(n, F.direction, fin, move(mu, F.inf, p),
-                     move(mu, F.inf1, p), p)
+def _read_flag(F: FlagChain, fac: Factor, k, read) -> FlagChain:
+    """The flag of the spaces read(S), S a space of F, in the factor fac
+    (label k of its flag); the direction is kept."""
+    if fac.dim == 0:
+        raise ValueError(f"label {k} names an empty factor")
+    flag = FlagChain(fac.dim, F.direction, tuple(map(read, F.finite)),
+                     read(F.inf), read(F.inf1), F.p)
+    flag.check()
+    return flag
 
 
 def restrict_flag(G: FlagChain, target: FlagChain, k) -> FlagChain:
     """The flag G read in the factor Φ_k(target): each space of G becomes its
     image in Φ_k; the direction is kept."""
     fac = target.factor(k)
-    if fac.dim == 0:
-        raise ValueError(f"label {k} names an empty factor")
-    fin = tuple(fac.image_of(S) for S in G.finite)
-    flag = FlagChain(fac.dim, G.direction, fin, fac.image_of(G.inf),
-                     fac.image_of(G.inf1), G.p)
-    flag.check()
-    return flag
-
-
-def transfer_flag_via_pairing(b, F: FlagChain, target: FlagChain, k, p: int) -> FlagChain:
-    """Transfer F (living on the right factor of b) into Φ_k(target).
-
-    The label-q space of the result is the image in Φ_k(target) of the
-    b-orthogonal of F(q) (see orthogonal_flag).
-    """
-    return restrict_flag(orthogonal_flag(b, F, p), target, k)
+    return _read_flag(G, fac, k, fac.image_of)
 
 
 def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k, p: int,
@@ -610,30 +612,21 @@ def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k, p: int,
 
     mode="preimage" builds (mu^{-1} F)_{Φ_k target} (F lives on mu's
     codomain); mode="image" builds (mu F)_{Φ_k target} (F on mu's domain).
-    The direction is preserved.
+    The direction is preserved.  With v = x @ sup running over sup and P the
+    factor's projection, the preimage of S reads as {x sup P^T : x sup mu^T
+    in S}, Zassenhaus on (sup mu^T, sup P^T, S), and the image of S as
+    {x sup P^T : x sup in S mu^T}, on (sup, sup P^T, S mu^T): one
+    elimination per space, each the rref that reading the moved space in
+    Φ_k gives.
     """
-    return restrict_flag(moved_flag(mu, F, p, mode), target, k)
-
-
-def induced_pairing(b, flag_V: FlagChain, flag_U: FlagChain, i, j, p: int) -> np.ndarray:
-    """Nondegenerate pairing between transferred-flag factors.
-
-    Pairs Φ_j of the flag transferred from flag_U into Φ_i(flag_V) with Φ_i
-    of the flag transferred from flag_V into Φ_j(flag_U); values are read on
-    section representatives lifted back to the two ambient spaces.
-    """
-    left_flag = transfer_flag_via_pairing(b, flag_U, flag_V, i, p)
-    right_flag = transfer_flag_via_pairing(modp(-modp(b, p).T, p), flag_V, flag_U, j, p)
-    lf = left_flag.factor(j)
-    rf = right_flag.factor(i)
-    if lf.dim == 0 or rf.dim == 0:
-        raise ValueError("zero factor on one side")
-    L1 = modp(lf.lift() @ flag_V.factor(i).lift(), p)
-    L2 = modp(rf.lift() @ flag_U.factor(j).lift(), p)
-    out = modp(L1 @ modp(b, p) @ L2.T, p)
-    if not is_invertible(out, p):
-        raise ValueError("induced pairing is degenerate")
-    return out
+    fac = target.factor(k)
+    mu_t = modp(mu, p).T
+    if mode == "preimage":
+        left = fac.sup @ mu_t
+        return _read_flag(F, fac, k,
+                          lambda S: _zassenhaus(left, fac._sup_coords, S, p))
+    return _read_flag(F, fac, k,
+                      lambda S: _zassenhaus(fac.sup, fac._sup_coords, S @ mu_t, p))
 
 
 def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
@@ -654,9 +647,7 @@ def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
     fac_U = flag_U.factor(l)
     lift = modp(sf.lift() @ fac_V.lift(), p)                   # rows in V
     pre = preimage_rows(mu, fac_U.sup, p)                      # mu^{-1}(upper U)
-    coeffs = solve_rows(np.concatenate([pre, fac_V.sub], axis=0), lift, p)
-    ensure(coeffs is not None, "representative outside mu^{-1}U + V_sub")
-    fixed = modp(coeffs[:, : pre.shape[0]] @ pre, p)
+    fixed = component_in(pre, fac_V.sub, lift, p)
     moved = modp(fixed @ modp(mu, p).T, p)                     # rows in U-sup
     inner = fac_U.project_vectors(moved)                       # rows in Φ_l F_U
     out_rows = df.project_vectors(inner)

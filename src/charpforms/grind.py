@@ -28,8 +28,9 @@ import numpy as np
 
 from . import gfp
 from .gfp import (INF, Factor, FlagChain, companion, ensure, eye,
-                  is_invertible, make_flag, modp, moved_flag, only_inf_flag,
-                  orthogonal_flag, pdeg, ppow, restrict_flag, zeros)
+                  is_invertible, make_flag, modp, only_inf_flag,
+                  orthogonal_flag, pdeg, ppow, restrict_flag,
+                  transfer_flag_via_iso, zeros)
 
 
 def _label_key(q):
@@ -205,24 +206,22 @@ def _corrected_pair_lift(piece: Piece, t, p):
     src = t if piece.flag.direction == "dec" else \
         gfp.INF1 if t == INF else t + 1
     S = gfp.subspace_intersection(piece.orth.space(src), window.sup, p)
-    coeffs = gfp.solve_rows(np.concatenate([S, window.sub], axis=0), naive, p)
-    ensure(coeffs is not None, "factor representative escaped orth + sub")
-    return modp(coeffs[:, : S.shape[0]] @ S, p)
+    return gfp.component_in(S, window.sub, naive, p)
 
 
 def _refine(pieces: dict, links: dict, mode: str, p: int):
     """Split every piece by its transferred flag (the refine step, for one
-    side).  links[x] = (matrix, flag) moves the matched piece's flag onto
-    piece x (`mode` as in moved_flag); each new cell carries it, read in its
-    factor.  Partners are left to `_pair`.  Returns (cells, cell_of)."""
+    side).  links[x] = (matrix, flag): each new cell carries the matched
+    piece's flag moved through the matrix onto piece x (`mode` as in
+    `transfer_flag_via_iso`) and read in its factor.  Partners are left to
+    `_pair`.  Returns (cells, cell_of)."""
     cells: dict = {}
     cell_of: dict = {}
     for x in sorted(pieces):
         piece = pieces[x]
         N, other = links[x]
-        moved = moved_flag(N, other, p, mode=mode)
         for t in sorted(piece.flag.factor_labels(), key=_label_key):
-            G = restrict_flag(moved, piece.flag, t)
+            G = transfer_flag_via_iso(N, other, piece.flag, t, p, mode)
             cell_of[(x, t)] = len(cells)
             cells[len(cells)] = Cell(G.ambient_dim, piece.alpha, G, None)
     return cells, cell_of

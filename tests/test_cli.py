@@ -445,6 +445,18 @@ def test_cli_bad_p_or_heights_name_the_field(capsys, argv, field):
     assert captured.err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--iters", "0"], "iters"), (["--iters", "-2"], "iters"),
+    (["--n", "0"], "n"), (["--n", "-3"], "n")])
+def test_cli_selftest_rejects_empty_runs(capsys, argv, field):
+    """No iterations would print PASS for properties never tested, and a
+    nonpositive n used to become 1 silently: both exit 2 naming the option."""
+    assert main(["selftest", "--p", "3", "--seed", "4"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
 def test_cli_form_file_with_bad_p_names_p(tmp_path, capsys):
     """An unsupported prime in a form file is reported as `p`, not as
     `heights`."""

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpforms import gfp
+from charpforms.flagbilinear import coordinate_flag
 from charpforms.gfp import (
     INF, companion, det, elementary_divisors, empty_space, eye, full_space,
-    increasing_flag_from_dims, induced_iso, induced_pairing, inverse,
-    irreducibles, make_factor, make_flag, modp, nullspace,
-    orthogonal_subspace, pfactor, pmul, quotient_section, rank, row_space,
-    rref, solve, solve_rows, subspace_eq, subspace_intersection,
-    subspace_sum, transfer_flag_via_iso, transfer_flag_via_pairing,
+    induced_iso, inverse, irreducibles, make_factor, make_flag, modp,
+    nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
+    preimage_rows, quotient_section, rank, restrict_flag, row_space, rref,
+    solve, solve_rows, subspace_eq, subspace_intersection, subspace_sum,
+    transfer_flag_via_iso,
 )
 
 
@@ -203,22 +204,22 @@ def test_orthogonal_identities_exhaustive_f3_dim4():
 
 def test_flag_basics():
     p = 3
-    F = increasing_flag_from_dims([1, 2], 2, p)
+    F = make_flag(2, "inc", coordinate_flag([1, 2]), p)
     assert F.factor(0).dim == 1
     assert F.factor(1).dim == 1
     assert F.factor(INF).dim == 0
     assert F.factor_labels() == [0, 1]
     assert not F.is_trivial()
-    T = increasing_flag_from_dims([2], 2, p)
+    T = make_flag(2, "inc", coordinate_flag([2]), p)
     assert T.is_trivial()
 
 
 def test_transfer_via_pairing_zero_and_nondeg():
     p = 3
-    target = increasing_flag_from_dims([1, 2], 2, p)
-    F = increasing_flag_from_dims([1, 2], 2, p)
+    target = make_flag(2, "inc", coordinate_flag([1, 2]), p)
+    F = make_flag(2, "inc", coordinate_flag([1, 2]), p)
     # zero pairing: constant flag equal to the whole factor, radical at oo
-    T = transfer_flag_via_pairing(gfp.zeros(2, 2), F, target, 0, p)
+    T = restrict_flag(orthogonal_flag(gfp.zeros(2, 2), F, p), target, 0)
     assert T.direction == "dec"
     assert all(T.space(q).shape[0] == T.ambient_dim for q in range(len(T.finite)))
     assert T.space(INF).shape[0] == T.ambient_dim
@@ -226,7 +227,7 @@ def test_transfer_via_pairing_zero_and_nondeg():
     b = np.array([[0, 1], [2, 0]])
     F1 = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
     big = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
-    T1 = transfer_flag_via_pairing(b, F1, big, 0, p)
+    T1 = restrict_flag(orthogonal_flag(b, F1, p), big, 0)
     assert T1.space(0).shape[0] == 2 and T1.space(1).shape[0] == 0
     assert T1.space(INF).shape[0] == 0
 
@@ -241,14 +242,6 @@ def test_transfer_via_iso_permutation():
     assert subspace_eq(T.space(1), row_space(np.array([[0, 1]]), p))
 
 
-def test_induced_pairing_one_step_is_b():
-    p = 5
-    b = np.array([[0, 2], [3, 0]])
-    V = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
-    out = induced_pairing(b, V, V, 0, 0, p)
-    assert np.array_equal(out, modp(b, p))
-
-
 def test_induced_iso_identity_and_scalar():
     p = 5
     V = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
@@ -257,6 +250,116 @@ def test_induced_iso_identity_and_scalar():
         dst = transfer_flag_via_iso(mu, V, V, 0, p, mode="image")
         M = induced_iso(mu, V, V, src, dst, 0, 0, p)
         assert np.array_equal(M, mu)
+
+
+# ---------------------------------------------------------------------------
+# The subspace operations read off one block elimination, each against the
+# composition of several eliminations it replaced.  The oracles intersect by
+# null spaces (U ∩ W is the null space of the stacked null spaces of U and
+# W), so none of them goes through the block elimination under test.
+# ---------------------------------------------------------------------------
+
+def _meet(U, W, p):
+    return nullspace(np.concatenate([nullspace(U, p), nullspace(W, p)]), p)
+
+
+def _image_oracle(fac, S, p):
+    """((S ∩ sup) + sub)/sub: intersect, project, row-reduce."""
+    return row_space(fac.project_vectors(_meet(S, fac.sup, p)), p)
+
+
+def _preimage_oracle(M, S, p):
+    """{v : M v in S}: the null space of (the null space of S) @ M."""
+    return nullspace(modp(nullspace(S, p) @ M, p), p)
+
+
+def _subspaces(rng, n, p):
+    """The zero space, the whole space and the spans of 1 to n + 1 random
+    vectors, as rref matrices."""
+    out = [empty_space(n), full_space(n)]
+    for k in range(1, n):
+        out.append(row_space(gfp.random_matrix(rng, k, n, p), p))
+    out.append(row_space(gfp.random_matrix(rng, n + 1, n, p), p))
+    return out
+
+
+def _random_flag(rng, n, direction, p):
+    """A flag of 2 to 4 random nested spaces from 0 to the whole space."""
+    basis = gfp.random_invertible(rng, n, p)
+    dims = sorted(rng.randrange(n + 1) for _ in range(rng.randrange(3)))
+    spaces = [basis[:d] for d in [0] + dims + [n]]
+    return make_flag(n, direction, spaces if direction == "inc" else spaces[::-1], p)
+
+
+def _spaces(F):
+    return list(F.finite) + [F.inf, F.inf1]
+
+
+def _factors(rng, n, p):
+    """sub ⊆ sup pairs, including zero factors (sub = sup) and the full one
+    (0 ⊆ F_p^n)."""
+    out = [(empty_space(n), full_space(n)), (full_space(n), full_space(n)),
+           (empty_space(n), empty_space(n))]
+    for sup in _subspaces(rng, n, p):
+        sub = row_space(modp(gfp.random_matrix(rng, rng.randrange(4), sup.shape[0], p)
+                             @ sup, p), p)
+        out += [(sub, sup), (sup, sup)]
+    return [make_factor(sub, sup, p) for sub, sup in out]
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_block_elimination_ops_match_compositions(p):
+    """subspace_intersection, Factor.image_of, preimage_rows and the
+    Q-coordinate flag of a contact pair equal the rref that the old
+    compositions gave, on empty and full spaces, zero and full factors and
+    singular and rectangular maps."""
+    rng = random.Random(100 + p)
+    for n in range(1, 6):
+        subs = _subspaces(rng, n, p)
+        for U in subs:
+            for W in subs:
+                assert np.array_equal(subspace_intersection(U, W, p), _meet(U, W, p))
+        for fac in _factors(rng, n, p):
+            for S in subs:
+                img = fac.image_of(S)
+                assert img.shape[1] == fac.dim
+                assert np.array_equal(img, _image_oracle(fac, S, p))
+        for m in range(0, 6):
+            maps = [gfp.zeros(m, n), gfp.random_matrix(rng, m, n, p),
+                    modp(gfp.random_matrix(rng, m, 1, p)
+                         @ gfp.random_matrix(rng, 1, n, p), p)]
+            for M in maps:
+                for S in _subspaces(rng, m, p) if m else [empty_space(0)]:
+                    assert np.array_equal(preimage_rows(M, S, p),
+                                          _preimage_oracle(M, S, p))
+        for Q in subs[2:] + [full_space(n)]:
+            for S in subs:
+                coords = row_space(solve_rows(Q, _meet(S, Q, p), p), p)
+                assert np.array_equal(preimage_rows(Q.T, S, p), coords)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_transfer_via_iso_matches_move_then_restrict(p):
+    """Each space read straight into Φ_k(target) equals the moved space
+    (preimage or image under mu) read in Φ_k, for both directions of F and
+    every nonzero factor of the target."""
+    rng = random.Random(200 + p)
+    for n in range(1, 6):
+        for _ in range(10):
+            mu = gfp.random_invertible(rng, n, p)
+            target = _random_flag(rng, n, rng.choice(["inc", "dec"]), p)
+            F = _random_flag(rng, n, rng.choice(["inc", "dec"]), p)
+            moves = {"preimage": lambda S: _preimage_oracle(mu, S, p),
+                     "image": lambda S: row_space(modp(S @ mu.T, p), p)}
+            for mode, move in moves.items():
+                for k in target.factor_labels():
+                    fac = target.factor(k)
+                    T = transfer_flag_via_iso(mu, F, target, k, p, mode=mode)
+                    assert T.direction == F.direction and T.ambient_dim == fac.dim
+                    want = [_image_oracle(fac, move(S), p) for S in _spaces(F)]
+                    got = _spaces(T)
+                    assert len(got) == len(want)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_poly_factor_and_companion():
