@@ -304,6 +304,9 @@ def main(argv=None) -> int:
     except CheckFailed as ex:
         print(f"error: internal check failed: {ex}", file=sys.stderr)
         return 3
+    except Exception as ex:                 # a crash is never a negative decision
+        print(f"error: internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,11 +20,22 @@ which contact splitting calls on its large systems, keep them as arrays end
 to end.  `nullspace` eliminates once, on the matrix with its columns
 reversed: the basis read off that rref, reversed back, is already the
 canonical rref of the kernel.
+
+Inside `memo_scope()` (one type-1 classification call enters it once),
+`rank`, `nullspace`, `solve_rows`, `make_factor` and the block elimination
+`_zassenhaus` answer a repeated call from one table, keyed by the bytes,
+shape and dtype of their array arguments: the grind asks the same small
+questions about the same canonical subspaces many times over.  Results
+from the table are shared, so their arrays are read-only.  The table lives
+only as long as the outermost scope and has no size bound to tune; outside
+a scope every function computes afresh.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -76,6 +87,57 @@ def inv_scalar(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 is not invertible mod p")
     return _inverse_table(p)[a]
+
+
+# ---------------------------------------------------------------------------
+# The memo of one classification call.
+# ---------------------------------------------------------------------------
+
+_memo: ContextVar[dict | None] = ContextVar("gfp_memo", default=None)
+_NONE = object()            # a stored None result
+
+
+@contextmanager
+def memo_scope():
+    """Share the answers of the memoised functions until the outermost
+    scope exits; a nested scope reuses the outer table."""
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _freeze(out):
+    if isinstance(out, np.ndarray):
+        out.flags.writeable = False
+    elif isinstance(out, Factor):
+        for A in (out.sub, out.sup, out.section):
+            A.flags.writeable = False
+    return out
+
+
+def _memoised(fn):
+    """Answer fn from the table of the active `memo_scope`, if any.  An
+    array argument keys by (shape, dtype, bytes), anything else by value."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def wrapper(*args):
+        memo = _memo.get()
+        if memo is None:
+            return fn(*args)
+        key = (name, *[(a.shape, a.dtype, a.tobytes())
+                       if isinstance(a, np.ndarray) else a for a in args])
+        out = memo.get(key)
+        if out is None:
+            out = _freeze(fn(*args))
+            memo[key] = _NONE if out is None else out
+        return None if out is _NONE else out
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +279,7 @@ def row_space(A, p: int) -> np.ndarray:
     return R[: len(pivots)]
 
 
+@_memoised
 def rank(A, p: int) -> int:
     rows, n = _rows(A, p)
     return len(_eliminate(rows, n, p))
@@ -230,6 +293,7 @@ def full_space(n: int) -> np.ndarray:
     return eye(n)
 
 
+@_memoised
 def nullspace(A, p: int) -> np.ndarray:
     """Canonical basis (rref) of {x : A @ x = 0}, from one elimination.
 
@@ -277,6 +341,7 @@ def solve(A, b, p: int) -> np.ndarray | None:
     return None if x is None else np.array(x[0], dtype=np.int64)
 
 
+@_memoised
 def solve_rows(B, V, p: int) -> np.ndarray | None:
     """Coefficients c with c @ B = v for each row v of V, from one elimination.
 
@@ -341,6 +406,7 @@ def subspace_sum(A, B, p: int) -> np.ndarray:
     return row_space(np.concatenate([A, B], axis=0), p)
 
 
+@_memoised
 def _zassenhaus(A, B, C, p: int) -> np.ndarray:
     """Canonical basis (rref) of {x @ B : x @ A in the row space of C}.
 
@@ -469,6 +535,7 @@ class Factor:
         return _zassenhaus(self.sup, self._sup_coords, S, self.p)
 
 
+@_memoised
 def make_factor(sub, sup, p: int) -> Factor:
     """The factor sup/sub; sub ⊆ sup must both be rref without zero rows
     (as `row_space`, `nullspace` and the flags return them)."""
@@ -778,23 +845,45 @@ def irreducibles(p: int, d: int) -> tuple:
 def pfactor(f, p: int) -> dict:
     """Factor a monic polynomial into irreducibles: {q: multiplicity}.
 
-    Trial division by the irreducibles of degree d while 2d <= deg f: once
-    f has no factor of degree at most half its own, f is irreducible.
+    Distinct degrees, d = 1, 2, ... while 2d <= deg f: with every factor of
+    degree below d already divided out, g = gcd(f, x^(p^d) - x) is the
+    product of the distinct irreducible factors of degree d.  g is one of
+    them if deg g = d; only if deg g > d are the degree-d irreducibles
+    tried.  Once f has no factor of degree at most half its own, f is
+    irreducible.
     """
     f = pmonic(f, p)
     out: dict = {}
+    h = (0, 1)                          # x^(p^d) mod f
     d = 1
     while 2 * d <= pdeg(f):
-        for q in irreducibles(p, d):
-            while True:
-                quo, rem = pdivmod(f, q, p)
-                if rem:
-                    break
-                out[q] = out.get(q, 0) + 1
-                f = quo
+        h = _powmod(h, p, f, p)
+        h_minus_x = list(h) + [0, 0]
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        g = pgcd(f, h_minus_x, p)
+        if pdeg(g) > 0:
+            for q in [g] if pdeg(g) == d else irreducibles(p, d):
+                while True:
+                    quo, rem = pdivmod(f, q, p)
+                    if rem:
+                        break
+                    out[q] = out.get(q, 0) + 1
+                    f = quo
+            h = pmod(h, f, p)
         d += 1
     if pdeg(f) > 0:
         out[f] = 1
+    return out
+
+
+def _powmod(g, e: int, f, p: int) -> tuple:
+    """g^e mod f (deg f >= 1), by square and multiply."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = pmod(pmul(out, g, p), f, p)
+        g = pmod(pmul(g, g, p), f, p)
+        e >>= 1
     return out
 
 

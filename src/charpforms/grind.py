@@ -618,11 +618,13 @@ def _ind_sort_key(ind: Indecomposable):
 
 
 def classify_type1_matrices(p: int, heights, b, c) -> Counter:
-    """Full pipeline: object, grind, extract, decompose."""
-    A = build_type1_object(p, heights, b, c)
-    prim = grind_to_primitive(A)
-    rep = extract_quiver_rep(prim)
-    return decompose_rep(rep)
+    """Full pipeline: object, grind, extract, decompose, in one memo scope
+    (the stages repeat the same subspace operations many times)."""
+    with gfp.memo_scope():
+        A = build_type1_object(p, heights, b, c)
+        prim = grind_to_primitive(A)
+        rep = extract_quiver_rep(prim)
+        return decompose_rep(rep)
 
 
 def descriptor_weight_catalog(p: int, max_weight: int = 4, max_entry: int = 2,

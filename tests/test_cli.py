@@ -296,6 +296,21 @@ def test_cli_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert captured.err == "error: internal check failed: grinding lost dimensions\n"
 
 
+def test_cli_crash_exits_3(tmp_path, monkeypatch, capsys):
+    """Any other uncaught exception is a fault in the program: exit 3 with
+    a one-line diagnostic, never 1 (a negative decision)."""
+    path = write_form(tmp_path, random_form("type1", FlagSpec(3, (1, 1)), 1))
+
+    def broken(cand):
+        raise IndexError("index 4 is out of bounds")
+
+    monkeypatch.setattr(cli, "recognize", broken)
+    assert main(["check", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: IndexError: index 4 is out of bounds\n"
+
+
 @pytest.mark.parametrize("field, patch", [
     ("flag_dims", {"flag_dims": [True, 2]}),
     ("flag_dims", {"flag_dims": [1, 2.0]}),

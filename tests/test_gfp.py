@@ -442,9 +442,9 @@ def test_elementary_divisors_rejects_singular():
 
 
 def test_pfactor_large_irreducible():
-    """Trial division stops at half the degree: an irreducible quintic at
-    p = 13 factors as itself at once instead of trying every irreducible
-    of degree up to 5."""
+    """The split stops at half the degree: an irreducible quintic at p = 13
+    has a trivial gcd with x^(13^d) - x for d = 1, 2, so it factors as
+    itself without trying any irreducible."""
     f = (7, 5, 9, 3, 8, 1)
     assert pfactor(f, 13) == {f: 1}
     g = pmul(pmul(f, (1, 1), 13), (1, 1), 13)
@@ -458,3 +458,47 @@ def test_det():
         A = gfp.random_matrix(rng, 3, 3, p)
         d = det(A, p)
         assert d == round(np.linalg.det(A)) % p
+
+
+def test_memo_shares_read_only_results():
+    A = np.array([[1, 2, 0], [2, 4, 0]])
+    with gfp.memo_scope():
+        N = nullspace(A, 3)
+        assert nullspace(A.copy(), 3) is N
+        with pytest.raises(ValueError):
+            N[0, 0] = 1
+        fac = make_factor(empty_space(3), row_space(A, 3), 3)
+        with pytest.raises(ValueError):
+            fac.section[0, 0] = 2
+        v = np.array([0, 0, 1])
+        assert solve_rows(A, v, 3) is None
+        assert solve_rows(A, v, 3) is None       # the stored None
+        assert rank(A, 3) == rank(A.copy(), 3) == 1
+    assert gfp._memo.get() is None
+    assert nullspace(A, 3).flags.writeable
+    assert nullspace(A, 3) is not nullspace(A, 3)
+
+
+def test_memo_nested_scopes_share_one_table():
+    A = np.array([[1, 1], [0, 0]])
+    with gfp.memo_scope():
+        outer = gfp._memo.get()
+        with gfp.memo_scope():
+            assert gfp._memo.get() is outer
+            N = nullspace(A, 5)
+        assert gfp._memo.get() is outer
+        assert nullspace(A, 5) is N
+    assert gfp._memo.get() is None
+
+
+@pytest.mark.parametrize("fail, exc", [
+    (lambda: gfp.ensure(False, "lost a dimension"), gfp.CheckFailed),
+    (lambda: inverse(gfp.zeros(2, 2), 3), ValueError)])
+def test_memo_dropped_when_an_error_propagates(fail, exc):
+    with pytest.raises(exc):
+        with gfp.memo_scope():
+            with gfp.memo_scope():
+                rank(eye(2), 3)
+                assert gfp._memo.get()
+                fail()
+    assert gfp._memo.get() is None

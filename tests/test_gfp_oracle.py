@@ -198,7 +198,7 @@ def test_pfactor_matches_sympy(p):
     from sympy import symbols
     x = symbols("x")
     rng = random.Random(400 + p)
-    for d in range(1, 7):
+    for d in range(1, 9):
         for _ in range(8):
             # random monic, and a product of random monic factors (repeats
             # included) so multiplicities above one occur
