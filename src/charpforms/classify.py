@@ -21,12 +21,13 @@ import numpy as np
 
 from . import gfp
 from .algebra import AlgebraElement, FlagSpec, multiplication_matrix
-from .flagbilinear import (FlaggedBilinear, admissible_grids,
+from .flagbilinear import (FlaggedBilinear, admissible_grids, grid_ok,
                            invariants_contact_pair, invariants_form_functional)
 from .forms import DiffForm, e_vector_form, h_class, top_monomial
 from .gfp import ensure
-from .grind import (classify_type1_matrices, descriptor_equal,
-                    height_spaces, synthesize_descriptor_matrices)
+from .grind import (canonical_pair_label, classify_type1_matrices,
+                    descriptor_equal, height_spaces,
+                    synthesize_descriptor_matrices)
 from .groups import Automorphism, random_in, transport_witness
 
 
@@ -162,7 +163,7 @@ def _type2_invariants(spec: FlagSpec, e, b) -> Type2Invariant:
     fac = gfp.make_factor(flag[k - 1], flag[k], p)
     # the functional on V_k/V_{k-1} induced by e (the section basis is made
     # of coordinate vectors, so evaluation is coordinate pairing)
-    f = gfp.modp(fac.lift() @ np.asarray(e, dtype=np.int64), p)
+    f = gfp.modp(fac.section @ np.asarray(e, dtype=np.int64), p)
     aug = invariants_form_functional(fb, k, f)
     return Type2Invariant(k, aug.special, aug.grid)
 
@@ -337,21 +338,63 @@ def _type1_form(spec: FlagSpec, a, c) -> SymplecticCandidate:
                                DiffForm(spec, 2, terms))
 
 
+def _grid_heights(inv, contact: bool):
+    """(grid array, heights) of a type-2 or contact datum, if the grid is
+    admissible for its own row sums (`grid_ok`), k names a row and the last
+    row names a variable (the contact index counts in row k), as in the
+    invariants of a form."""
+    try:
+        grid = np.asarray(inv.grid, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise FormatError("grid", "not an integer matrix") from None
+    if grid.ndim != 2 or not grid_ok(grid, grid.sum(axis=1), nondegenerate=True):
+        raise FormatError("grid", "must be square, symmetric and nonnegative "
+                                  "with an even diagonal")
+    if not 1 <= inv.k <= grid.shape[0]:
+        raise FormatError("k", f"must name a grid row, 1..{grid.shape[0]}")
+    heights = heights_from_grid(grid, contact_k=inv.k if contact else None)
+    if max(heights, default=0) != grid.shape[0]:
+        raise FormatError("grid", "its last row names no variable")
+    return grid, heights
+
+
+def _check_descriptor(desc: Counter, p: int) -> None:
+    """A type-1 descriptor as `invariants` gives them: a nonempty multiset
+    of indecomposables with canonical labels of heights >= 1, each periodic
+    one (and only those) with a monic endo q^e, q irreducible, q(0) != 0."""
+    if not desc:
+        raise FormatError("descriptor", "empty")
+    for ind, mult in desc.items():
+        label = (ind.top, ind.bottom)
+        if mult < 1 or not ind.top or len(ind.top) != len(ind.bottom) \
+                or min(ind.top + ind.bottom) < 1 \
+                or canonical_pair_label(ind.periodic, *label) != label:
+            raise FormatError("descriptor", f"{label} x {mult} is not a canonical "
+                                            f"label with a positive multiplicity")
+        endo = ind.endo
+        if not ind.periodic and endo is not None or ind.periodic and not (
+                endo and endo[0] and endo[-1] == 1 and max(endo) < p
+                and min(endo) >= 0 and len(gfp.pfactor(endo, p)) == 1):
+            raise FormatError("descriptor", f"endo {endo} on {label}")
+
+
 def normal_shape(inv, p: int):
     """The canonical representative of an invariant datum.
 
     Type 2: d(exp(x_{i0}) * sum x_i dx_{i'}) encoded as a candidate; contact:
     dx_{i0} + sum x_i dx_{i'}; type 1: the descriptor's block matrices as
-    sum (a_ij + b_ij x_i^(top) x_j^(top)) dx_i ^ dx_j.
+    sum (a_ij + b_ij x_i^(top) x_j^(top)) dx_i ^ dx_j.  A datum that no form
+    has as its invariants raises FormatError.
     """
+    gfp.check_prime(p)
     if isinstance(inv, Counter):
+        _check_descriptor(inv, p)
         heights, a, c = synthesize_descriptor_matrices(inv, p)
         return _type1_form(FlagSpec(p, heights), a, c)
     if isinstance(inv, Type2Invariant):
-        grid = np.asarray(inv.grid, dtype=np.int64)
-        if grid[inv.k - 1, inv.ell - 1] == 0:
-            raise ValueError("inadmissible type-2 invariants: n_kl = 0")
-        heights = heights_from_grid(grid)
+        grid, heights = _grid_heights(inv, contact=False)
+        if not 1 <= inv.ell <= grid.shape[0] or grid[inv.k - 1, inv.ell - 1] == 0:
+            raise FormatError("l", "inadmissible type-2 invariants: n_kl = 0")
         spec = FlagSpec(p, heights)
         sets, pairing = _pairing_partition(spec, grid)
         i0 = sets[(inv.k - 1, inv.ell - 1)][0]
@@ -367,8 +410,7 @@ def normal_shape(inv, p: int):
         ensure(is_symplectic(cand) == "type2", "type-2 normal shape is not type 2")
         return cand
     if isinstance(inv, ContactInvariant):
-        grid = np.asarray(inv.grid, dtype=np.int64)
-        heights = heights_from_grid(grid, contact_k=inv.k)
+        grid, heights = _grid_heights(inv, contact=True)
         spec = FlagSpec(p, heights)
         i0 = next(i for i in range(spec.n) if spec.heights[i] == inv.k)
         sets, pairing = _pairing_partition(spec, grid, exclude=i0)

@@ -258,7 +258,7 @@ def canonical_flag_basis(fb: FlaggedBilinear) -> np.ndarray:
             Q = np.array([fixed[s2] for s2 in Jp], dtype=np.int64)
             rhs = _pairing_value(fb, e.reshape(1, -1), P)[0]
             Mx = _pairing_value(fb, Q, P)
-            c = gfp.solve(Mx.T, rhs, p)
+            c = gfp.solve_rows(Mx, rhs, p)
             ensure(c is not None, "correction system inconsistent")
             e = (e - c @ Q) % p
         fixed[(s, t, q)] = e

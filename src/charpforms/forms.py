@@ -326,7 +326,7 @@ def is_exact_with_potential(omega: DiffForm) -> DiffForm | None:
             for mono, c in f.terms.items():
                 target[index[(mono, I)]] = c
         M = _block_d_matrix(spec, ek1, ek, p)
-        x = gfp.solve(M, target, p)
+        x = gfp.solve_rows(M.T, target, p)
         if x is None:
             return None
         terms: dict = {}

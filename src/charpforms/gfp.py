@@ -42,12 +42,6 @@ import numpy as np
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_ENTRIES = 256
 
-# Flag labels beyond the finite range; INF sorts after every integer and INF1
-# after INF.  All six flag shapes share one representation (see FlagChain).
-INF = "oo"
-INF1 = "oo+1"
-
-
 class CheckFailed(AssertionError):
     """An internal check of the computation failed: a fault in the program,
     never in its input (bad input raises ValueError)."""
@@ -334,13 +328,6 @@ def _nullspace_large(A: np.ndarray, p: int) -> np.ndarray:
     return N
 
 
-def solve(A, b, p: int) -> np.ndarray | None:
-    """One solution x of A @ x = b, or None if inconsistent."""
-    rows, n = _rows(A, p)
-    x = _solve(rows, _rows(np.reshape(b, -1), p)[0], n, p)
-    return None if x is None else np.array(x[0], dtype=np.int64)
-
-
 @_memoised
 def solve_rows(B, V, p: int) -> np.ndarray | None:
     """Coefficients c with c @ B = v for each row v of V, from one elimination.
@@ -486,7 +473,8 @@ def quotient_section(sub, sup, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Factor:
-    """A quotient sup/sub with a chosen section basis (rows in ambient)."""
+    """A quotient sup/sub with a chosen section basis: its rows, in the
+    ambient space, represent the factor coordinates."""
     sub: np.ndarray
     sup: np.ndarray
     section: np.ndarray
@@ -495,14 +483,6 @@ class Factor:
     @property
     def dim(self) -> int:
         return self.section.shape[0]
-
-    @property
-    def ambient(self) -> int:
-        return self.sub.shape[1]
-
-    def lift(self) -> np.ndarray:
-        """Section rows: factor coordinates -> ambient representatives."""
-        return self.section
 
     @cached_property
     def _projection_t(self) -> np.ndarray:
@@ -514,7 +494,7 @@ class Factor:
         P = I[t] - sub[:, t]^T @ I[s].
         """
         s, t = _pivots(self.sub), _pivots(self.section)
-        Pt = zeros(self.ambient, self.dim)
+        Pt = zeros(self.sub.shape[1], self.dim)
         Pt[t, np.arange(self.dim)] = 1
         Pt[s] = -self.sub[:, t] % self.p
         return Pt
@@ -543,85 +523,66 @@ def make_factor(sub, sup, p: int) -> Factor:
 
 
 # ---------------------------------------------------------------------------
-# Flags.  One representation covers all six shapes: spaces at finite labels
-# 0..L (constant beyond L) plus entries at INF and INF1.  Increasing flags
-# have factors Φ_q = F(q+1)/F(q) and Φ_oo = F(oo+1)/F(oo); decreasing flags
-# have Φ_q = F(q)/F(q+1) and Φ_oo = F(oo)/F(oo+1).  Shapes without an
-# infinity slot simply carry a zero factor there.
+# Flags.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FlagChain:
-    ambient_dim: int
+    """A flag of any of the six shapes, as one chain of spaces S_0, ..., S_L
+    closed by E: the whole space (increasing) or 0 (decreasing).  Factor q
+    lies between S_q and S_{q+1}, with S_{L+1} = E: Φ_q = S_{q+1}/S_q when
+    increasing, S_q/S_{q+1} when decreasing.
+
+    Constructors append E rather than compute it.  A flag read into a
+    factor keeps E, since the image of the whole space is the whole factor
+    and that of 0 is 0, and an isomorphism moves the whole space onto the
+    whole space and 0 onto 0, in either direction.
+    """
     direction: str                      # "inc" | "dec"
-    finite: tuple                       # rref arrays at labels 0..L
-    inf: np.ndarray
-    inf1: np.ndarray
+    spaces: tuple                       # rref arrays S_0..S_L, then E
     p: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_factor_cache", {})
+    @property
+    def ambient_dim(self) -> int:
+        return self.spaces[-1].shape[1]
 
-    def space(self, label):
-        if label == INF:
-            return self.inf
-        if label == INF1:
-            return self.inf1
-        if label >= len(self.finite):
-            return self.finite[-1]
-        return self.finite[label]
+    @cached_property
+    def factors(self) -> tuple:
+        """Φ_0, ..., Φ_L."""
+        low, high = self.spaces[:-1], self.spaces[1:]
+        if self.direction == "dec":
+            low, high = high, low
+        return tuple(make_factor(sub, sup, self.p) for sub, sup in zip(low, high))
 
-    def factor(self, label) -> Factor:
-        cached = self._factor_cache.get(label)
-        if cached is not None:
-            return cached
-        if label == INF1:
-            raise ValueError("oo+1 does not name a factor")
-        if label == INF:
-            sub, sup = (self.inf1, self.inf) if self.direction == "dec" else (self.inf, self.inf1)
-        elif self.direction == "inc":
-            sub, sup = self.space(label), self.space(label + 1)
-        else:
-            sub, sup = self.space(label + 1), self.space(label)
-        out = make_factor(sub, sup, self.p)
-        self._factor_cache[label] = out
-        return out
+    @cached_property
+    def labels(self) -> tuple:
+        """Labels of the nonzero factors, increasing."""
+        return tuple(q for q, fac in enumerate(self.factors) if fac.dim > 0)
 
-    def factor_labels(self) -> list:
-        """Labels with a nonzero factor: finite ones first, then INF."""
-        out = [q for q in range(len(self.finite)) if self.factor(q).dim > 0]
-        if self.factor(INF).dim > 0:
-            out.append(INF)
-        return out
+    def factor(self, label: int) -> Factor:
+        return self.factors[label]
 
     def is_trivial(self) -> bool:
         """No space strictly between 0 and the ambient space."""
-        spaces = list(self.finite) + [self.inf, self.inf1]
-        return all(S.shape[0] in (0, self.ambient_dim) for S in spaces)
+        return all(S.shape[0] in (0, self.ambient_dim) for S in self.spaces)
 
     def check(self) -> None:
-        seq = list(self.finite) + [self.inf, self.inf1]
-        if self.direction == "dec":
-            seq = seq[::-1]
+        seq = self.spaces if self.direction == "inc" else self.spaces[::-1]
         for A, B in zip(seq, seq[1:]):
             ensure(subspace_leq(A, B, self.p), "flag not monotone")
 
 
-def make_flag(ambient_dim: int, direction: str, finite_spaces, p: int) -> FlagChain:
-    """The flag with the given finite spaces; INF holds the last of them and
-    INF1 the whole space (increasing) or zero (decreasing)."""
-    fin = tuple(row_space(np.asarray(S, dtype=np.int64), p) for S in finite_spaces)
-    inf1 = full_space(ambient_dim) if direction == "inc" else empty_space(ambient_dim)
-    flag = FlagChain(ambient_dim, direction, fin, fin[-1], inf1, p)
+def _top_space(n: int, direction: str) -> np.ndarray:
+    """E of a flag on F_p^n: everything (increasing) or 0 (decreasing)."""
+    return full_space(n) if direction == "inc" else empty_space(n)
+
+
+def make_flag(ambient_dim: int, direction: str, spaces, p: int) -> FlagChain:
+    """The flag of the given spaces S_0, ..., S_L, closed by E."""
+    chain = tuple(row_space(np.asarray(S, dtype=np.int64), p) for S in spaces)
+    flag = FlagChain(direction, chain + (_top_space(ambient_dim, direction),), p)
     flag.check()
     return flag
-
-
-def only_inf_flag(ambient_dim: int, direction: str, p: int) -> FlagChain:
-    """The flag whose single nonzero factor sits at the infinity slot."""
-    if direction == "inc":
-        return make_flag(ambient_dim, "inc", [empty_space(ambient_dim)], p)
-    return make_flag(ambient_dim, "dec", [full_space(ambient_dim)], p)
 
 
 # ---------------------------------------------------------------------------
@@ -642,38 +603,36 @@ def orthogonal_subspace(b, M, p: int) -> np.ndarray:
 
 
 def orthogonal_flag(b, F: FlagChain, p: int) -> FlagChain:
-    """The b-orthogonals of the spaces of F (F on the right factor of b).
+    """The b-orthogonals of S_0, ..., S_L of F (F on the right factor of b).
 
-    The direction flips; the oo+1 entry is forced by the resulting shape
-    (zero for decreasing, everything for increasing).
+    The direction flips, and E is that of the new direction: the orthogonal
+    of F's E would be the radical of b instead of 0 when b is degenerate.
     """
     direction = "dec" if F.direction == "inc" else "inc"
-    n = np.shape(b)[0]
-    fin = tuple(orthogonal_subspace(b, S, p) for S in F.finite)
-    inf = orthogonal_subspace(b, F.inf, p)
-    inf1 = empty_space(n) if direction == "dec" else full_space(n)
-    return FlagChain(n, direction, fin, inf, inf1, p)
+    spaces = tuple(orthogonal_subspace(b, S, p) for S in F.spaces[:-1])
+    return FlagChain(direction, spaces + (_top_space(np.shape(b)[0], direction),), p)
 
 
-def _read_flag(F: FlagChain, fac: Factor, k, read) -> FlagChain:
-    """The flag of the spaces read(S), S a space of F, in the factor fac
-    (label k of its flag); the direction is kept."""
+def _read_flag(F: FlagChain, fac: Factor, k: int, read) -> FlagChain:
+    """The flag of the spaces read(S), S one of S_0, ..., S_L of F, in the
+    factor fac (label k of its flag), closed by the factor's E; the
+    direction is kept."""
     if fac.dim == 0:
         raise ValueError(f"label {k} names an empty factor")
-    flag = FlagChain(fac.dim, F.direction, tuple(map(read, F.finite)),
-                     read(F.inf), read(F.inf1), F.p)
+    spaces = tuple(map(read, F.spaces[:-1])) + (_top_space(fac.dim, F.direction),)
+    flag = FlagChain(F.direction, spaces, F.p)
     flag.check()
     return flag
 
 
-def restrict_flag(G: FlagChain, target: FlagChain, k) -> FlagChain:
+def restrict_flag(G: FlagChain, target: FlagChain, k: int) -> FlagChain:
     """The flag G read in the factor Φ_k(target): each space of G becomes its
     image in Φ_k; the direction is kept."""
     fac = target.factor(k)
     return _read_flag(G, fac, k, fac.image_of)
 
 
-def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k, p: int,
+def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k: int, p: int,
                           mode: str = "preimage") -> FlagChain:
     """Transfer F into Φ_k(target) through an isomorphism mu.
 
@@ -697,7 +656,7 @@ def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k, p: int,
 
 
 def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
-                dst_flag: FlagChain, k, l, p: int) -> np.ndarray:
+                dst_flag: FlagChain, k: int, l: int, p: int) -> np.ndarray:
     """The through map Φ_l(src_flag) -> Φ_k(dst_flag), for the transferred
     flags src_flag = (mu^{-1}F_U)_{Φ_k F_V} and dst_flag = (mu F_V)_{Φ_l F_U}.
 
@@ -712,7 +671,7 @@ def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
         raise ValueError("mismatched factors")
     fac_V = flag_V.factor(k)
     fac_U = flag_U.factor(l)
-    lift = modp(sf.lift() @ fac_V.lift(), p)                   # rows in V
+    lift = modp(sf.section @ fac_V.section, p)                 # rows in V
     pre = preimage_rows(mu, fac_U.sup, p)                      # mu^{-1}(upper U)
     fixed = component_in(pre, fac_V.sub, lift, p)
     moved = modp(fixed @ modp(mu, p).T, p)                     # rows in U-sup
@@ -790,14 +749,6 @@ def pgcd(f, g, p: int) -> tuple:
     return pmonic(f, p)
 
 
-def plcm(f, g, p: int) -> tuple:
-    f, g = ptrim(f), ptrim(g)
-    if not f or not g:
-        return ()
-    d = pgcd(f, g, p)
-    return pmonic(pdivmod(pmul(f, g, p), d, p)[0], p)
-
-
 def ppow(f, e: int, p: int) -> tuple:
     out = (1,)
     f = ptrim(f)
@@ -806,20 +757,6 @@ def ppow(f, e: int, p: int) -> tuple:
             out = pmul(out, f, p)
         f = pmul(f, f, p)
         e >>= 1
-    return out
-
-
-def peval_matrix(f, A, p: int) -> np.ndarray:
-    """f(A) for a square matrix A (Horner)."""
-    n = A.shape[0]
-    out = zeros(n, n)
-    coeffs = ptrim(f)
-    if not coeffs:
-        return out
-    for c in reversed(coeffs):
-        out = modp(out @ A, p)
-        if c:
-            out = modp(out + c * eye(n), p)
     return out
 
 
@@ -900,44 +837,20 @@ def companion(f, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Endomorphisms: cyclic subspaces, minimal polynomials, elementary divisors.
+# Endomorphisms: elementary divisors.
 # ---------------------------------------------------------------------------
-
-def local_min_poly(h, v, p: int) -> tuple:
-    """Monic minimal polynomial of h on the cyclic subspace generated by v.
-
-    With the Krylov vectors v, hv, ..., h^n v as columns, the rref has
-    pivots 0..d-1, and its column d expresses h^d v in the earlier ones.
-    """
-    krylov = [modp(v, p).reshape(-1)]
-    if not np.any(krylov[0]):
-        return (1,)
-    for _ in range(h.shape[0]):
-        krylov.append(modp(h @ krylov[-1], p))
-    R, pivots = rref(np.array(krylov).T, p)
-    d = len(pivots)
-    return ptrim([(-c) % p for c in R[:d, d]] + [1])
-
-
-def min_poly(h, p: int) -> tuple:
-    n = h.shape[0]
-    m = (1,)
-    I = eye(n)
-    for i in range(n):
-        m = plcm(m, local_min_poly(h, I[i], p), p)
-        if pdeg(m) == n:
-            break
-    return m
-
 
 def elementary_divisors(h, p: int) -> list[tuple]:
     """Sorted multiset of prime-power divisors q^e of the module of h.
 
-    Read off ranks: for each irreducible factor q of the minimal polynomial,
-    with r_k = rank q(h)^k, there are (r_{k-1} - 2 r_k + r_{k+1}) / deg q
-    summands F_p[x]/q^k; r_k stops falling at the exponent e of q in the
-    minimal polynomial.  Singular input is rejected (the classification
-    pipeline only ever needs nonsingular endomorphisms).
+    The minimal polynomial comes from one elimination: with the flattened
+    powers h^0, h^1, ..., h^n as columns, the rref has pivots 0..d-1 (d its
+    degree), and its column d expresses h^d in the lower powers.  The rest
+    is read off ranks: for each irreducible factor q of it, with r_k = rank
+    q(h)^k, there are (r_{k-1} - 2 r_k + r_{k+1}) / deg q summands
+    F_p[x]/q^k; r_k stops falling at the exponent e of q in the minimal
+    polynomial.  Singular input is rejected (the classification pipeline
+    only ever needs nonsingular endomorphisms).
     """
     h = modp(h, p)
     n = h.shape[0]
@@ -945,9 +858,14 @@ def elementary_divisors(h, p: int) -> list[tuple]:
         raise ValueError("matrix must be square")
     if n and not is_invertible(h, p):
         raise ValueError("matrix is singular")
+    powers = [eye(n)]
+    for _ in range(n):
+        powers.append(modp(h @ powers[-1], p))
+    R, pivots = rref(np.array([P.reshape(-1) for P in powers]).T, p)
+    d = len(pivots)
     out = []
-    for q, e in pfactor(min_poly(h, p), p).items():
-        Q = peval_matrix(q, h, p)
+    for q, e in pfactor([(-c) % p for c in R[:d, d]] + [1], p).items():
+        Q = modp(sum(c * P for c, P in zip(q, powers)), p)       # q(h)
         ranks = [n]
         M = eye(n)
         for _ in range(e):

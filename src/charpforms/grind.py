@@ -27,14 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gfp
-from .gfp import (INF, Factor, FlagChain, companion, ensure, eye,
-                  is_invertible, make_flag, modp, only_inf_flag,
+from .gfp import (Factor, FlagChain, companion, empty_space, ensure, eye,
+                  full_space, is_invertible, make_flag, modp,
                   orthogonal_flag, pdeg, ppow, restrict_flag,
                   transfer_flag_via_iso, zeros)
-
-
-def _label_key(q):
-    return (1, 0) if q == INF else (0, q)
 
 
 @dataclass
@@ -86,7 +82,7 @@ class AState:
             ensure((wid, r) not in targets, "nu hits a w-side factor twice")
             targets[(wid, r)] = (vid, q)
         for wid, cell in self.w.items():
-            for r in cell.flag.factor_labels():
+            for r in cell.flag.labels:
                 ensure((wid, r) in targets, "nu misses a w-side factor")
 
     def is_primitive(self) -> bool:
@@ -104,7 +100,7 @@ class Piece:
     alpha: int
     flag: FlagChain          # the transferred flag
     parent: int              # the cell
-    label: object            # the factor's label in the cell's flag
+    label: int               # the factor's label in the cell's flag
     window: Factor           # that factor
     orth: FlagChain | None   # where flag was read from: the partner flag's
                              # orthogonal (None on a tagged cell)
@@ -149,9 +145,8 @@ def build_type1_object(p: int, heights, b, c) -> AState:
         v={0: Cell(n, None, flag, 0)},
         w={0: Cell(n, None, flag, 0)},
         b={0: b}, c={0: c}, nu={})
-    for q in flag.factor_labels():
-        fac = flag.factor(q)
-        st.nu[(0, q)] = (0, q, eye(fac.dim))
+    for q in flag.labels:
+        st.nu[(0, q)] = (0, q, eye(flag.factor(q).dim))
     # the starting c may be degenerate; skip the full check here
     return st
 
@@ -160,8 +155,9 @@ def _split(cells: dict, pairing: dict, direction: str, p: int):
     """Split every cell by its flag (the split step, for one side).
 
     A partnered cell reads, in each factor, the orthogonal of its partner's
-    flag under its pairing; a tagged cell puts each factor wholly at the
-    infinity slot of a `direction` flag.  Returns (pieces, piece_of).
+    flag under its pairing; a tagged cell reads in each factor the one-step
+    `direction` flag whose only factor, its top one, is the whole factor.
+    Returns (pieces, piece_of).
     """
     pieces: dict = {}
     piece_of: dict = {}
@@ -169,10 +165,13 @@ def _split(cells: dict, pairing: dict, direction: str, p: int):
         cell = cells[x]
         O = None if cell.partner is None else \
             orthogonal_flag(pairing[x], cells[cell.partner].flag, p)
-        for q in sorted(cell.flag.factor_labels(), key=_label_key):
+        for q in cell.flag.labels:
             fac = cell.flag.factor(q)
-            K = only_inf_flag(fac.dim, direction, p) if O is None else \
-                restrict_flag(O, cell.flag, q)
+            if O is None:
+                S0 = empty_space(fac.dim) if direction == "inc" else full_space(fac.dim)
+                K = make_flag(fac.dim, direction, [S0], p)
+            else:
+                K = restrict_flag(O, cell.flag, q)
             alpha = cell.alpha if cell.alpha is not None else q + 1
             piece_of[(x, q)] = len(pieces)
             pieces[len(pieces)] = Piece(alpha, K, x, q, fac, O)
@@ -181,7 +180,7 @@ def _split(cells: dict, pairing: dict, direction: str, p: int):
 
 def grind_A_to_B(A: AState) -> BState:
     """Split every cell by its flag; transfer the partner flags through the
-    pairings (w side: the radical lands in the infinity slot)."""
+    pairings (w side: the radical lands in the top factor)."""
     direction = "dec" if A.parity == 0 else "inc"
     r_pieces, rid_of = _split(A.v, A.b, direction, A.p)
     s_pieces, sid_of = _split(A.w, A.c, direction, A.p)
@@ -191,7 +190,7 @@ def grind_A_to_B(A: AState) -> BState:
     return BState(r_pieces, s_pieces, mu, A, rid_of, sid_of)
 
 
-def _corrected_pair_lift(piece: Piece, t, p):
+def _corrected_pair_lift(piece: Piece, t: int, p):
     """Representatives of factor t of the piece's transferred flag inside
     the honest intersection orth(partner space) ∩ window, as rows in the
     parent cell.
@@ -201,11 +200,10 @@ def _corrected_pair_lift(piece: Piece, t, p):
     legitimate representatives.
     """
     window = piece.window
-    naive = modp(piece.flag.factor(t).lift() @ window.lift(), p)
-    # the partner-flag label whose orthogonal generates the factor's sup
-    src = t if piece.flag.direction == "dec" else \
-        gfp.INF1 if t == INF else t + 1
-    S = gfp.subspace_intersection(piece.orth.space(src), window.sup, p)
+    naive = modp(piece.flag.factor(t).section @ window.section, p)
+    # the space of the orthogonal flag that the factor's sup is read from
+    orth = piece.orth.spaces[t if piece.flag.direction == "dec" else t + 1]
+    S = gfp.subspace_intersection(orth, window.sup, p)
     return gfp.component_in(S, window.sub, naive, p)
 
 
@@ -220,7 +218,7 @@ def _refine(pieces: dict, links: dict, mode: str, p: int):
     for x in sorted(pieces):
         piece = pieces[x]
         N, other = links[x]
-        for t in sorted(piece.flag.factor_labels(), key=_label_key):
+        for t in piece.flag.labels:
             G = transfer_flag_via_iso(N, other, piece.flag, t, p, mode)
             cell_of[(x, t)] = len(cells)
             cells[len(cells)] = Cell(G.ambient_dim, piece.alpha, G, None)
@@ -234,7 +232,7 @@ def _pair(cells: dict, cell_of: dict, pieces: dict, piece_of: dict,
     Factor t of piece (X, q) pairs with factor q of piece (Xbar, t) through
     the parent pairing on X.  Cells of a tagged parent stay tagged, and so
     does a factor whose partner piece is missing: only the forced radical
-    slot of a degenerate starting c lacks it, at the infinity label.
+    of a degenerate starting c lacks it, at the top label.
     Returns the new pairings.
     """
     out = {}
@@ -246,7 +244,8 @@ def _pair(cells: dict, cell_of: dict, pieces: dict, piece_of: dict,
             continue
         x2 = piece_of.get((Xbar, t))
         if x2 is None:
-            ensure(t == INF, "missing partner piece for a finite factor")
+            ensure(t == len(piece.flag.spaces) - 2,
+                   "missing partner piece below the top factor")
             continue
         y2 = cell_of.get((x2, q))
         ensure(y2 is not None, "partner piece lacks the matching factor")
@@ -276,7 +275,7 @@ def grind_B_to_A(B: BState) -> AState:
     nu_new: dict = {}
     for (rid, t), vid in vid_of.items():
         sid, N = B.mu[rid]
-        for l in v_cells[vid].flag.factor_labels():
+        for l in v_cells[vid].flag.labels:
             wid = wid_of[(sid, l)]
             M = gfp.induced_iso(N, B.r[rid].flag, B.s[sid].flag,
                                 v_cells[vid].flag, w_cells[wid].flag, t, l, p)
@@ -327,7 +326,7 @@ def extract_quiver_rep(A: AState) -> QuiverRep:
     nodes = sorted(vid for vid in A.v if A.v[vid].dim > 0)
     single = {}
     for vid in nodes:
-        labels = A.v[vid].flag.factor_labels()
+        labels = A.v[vid].flag.labels
         ensure(len(labels) == 1, "primitive cell has several factors")
         single[vid] = labels[0]
     nu_target = {}

@@ -3,18 +3,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from charpforms.algebra import AlgebraElement, FlagSpec, random_element
 from charpforms import gfp
 from charpforms.classify import (
-    ContactCandidate, ContactInvariant, SymplecticCandidate, Type2Invariant,
+    ContactCandidate, ContactInvariant, FormatError, SymplecticCandidate,
+    Type2Invariant,
     _contact_matrices, _reeb_vector, admissible_contact_invariants,
     admissible_type2_invariants, apply_to_candidate, constant_bivector,
     contact_split, equivalent, invariants, is_contact, is_symplectic,
     normal_shape, random_form, recognize, same_Gprime_orbit,
 )
 from charpforms.forms import DiffForm, e_vector_form
-from charpforms.grind import Indecomposable, descriptor_equal
+from charpforms.grind import (Indecomposable, canonical_pair_label,
+                              descriptor_equal)
 from charpforms.groups import random_in
 
 
@@ -213,6 +217,112 @@ def test_normal_shape_round_trips_catalog():
                 cand = normal_shape(inv, p)
                 assert is_contact(cand)
                 assert invariants(cand) == inv
+
+
+# Invariant data that no form has: each used to crash normal_shape or to
+# answer for another class.
+_OUTSIDE = [
+    (Type2Invariant(5, 1, ((2,),)), "k"),
+    (Type2Invariant(1, 1, ((1,),)), "grid"),
+    (Type2Invariant(0, 1, ((2,),)), "k"),
+    (Type2Invariant(1, 1, ((2, 1),)), "grid"),
+    (Type2Invariant(1, 2, ((2,),)), "l"),
+    (Type2Invariant(1, 1, ((0, 1), (1, 0))), "l"),
+    (Type2Invariant(1, 1, ((2, 0), (0, 0))), "grid"),
+    (ContactInvariant(3, ((2,),)), "k"),
+    (ContactInvariant(1, ((1,),)), "grid"),
+    (Counter(), "descriptor"),
+    (Counter({Indecomposable(True, (1,), (1,), None): 1}), "descriptor"),
+    (Counter({Indecomposable(True, (1,), (1,), (0, 1)): 1}), "descriptor"),
+    (Counter({Indecomposable(True, (1,), (1,), (2, 0, 1)): 1}), "descriptor"),
+    (Counter({Indecomposable(False, (2,), (1,), None): 1}), "descriptor"),
+    (Counter({Indecomposable(False, (1,), (2,), (2, 1)): 1}), "descriptor"),
+    (Counter({Indecomposable(False, (1,), (1,), None): 0}), "descriptor"),
+]
+
+
+@pytest.mark.parametrize("inv, field", _OUTSIDE)
+def test_normal_shape_rejects_data_outside_the_classification(inv, field):
+    with pytest.raises(FormatError) as err:
+        normal_shape(inv, 3)
+    assert err.value.field == field
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 7)) == 0
+
+
+def _row(draw, r: int) -> int:
+    """A row index, 1..r, rarely one outside."""
+    return draw(st.sampled_from([0, r + 1])) if _rarely(draw) else draw(st.integers(1, max(r, 1)))
+
+
+@st.composite
+def _small_invariant_data(draw):
+    """(p, datum) of any kind, small, mostly inside the classification and
+    often outside it: zero heights, unequal or non-canonical labels, endos
+    that are not prime powers, zero multiplicities; odd, asymmetric or
+    ragged grids, rows out of range, zero n_kl."""
+    kind = draw(st.sampled_from(["type1", "type2", "contact"]))
+    if kind == "type1":
+        p = draw(st.sampled_from([2, 3, 5]))
+        powers = [gfp.ppow(q, e, p) for d in (1, 2) for q in gfp.irreducibles(p, d)
+                  if q[0] for e in (1, 2) if d * e <= 2]
+        desc = Counter()
+        for _ in range(draw(st.integers(1, 2))):
+            n = draw(st.integers(1, 2))
+            top, bottom = (draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+                           for _ in range(2))
+            periodic = draw(st.booleans())
+            if not _rarely(draw):
+                top, bottom = map(list, canonical_pair_label(periodic, top, bottom))
+            if _rarely(draw):
+                draw(st.sampled_from([top, bottom]))[0] = 0
+            if _rarely(draw):
+                bottom.pop()
+            if _rarely(draw):
+                endo = tuple(draw(st.lists(st.integers(0, p), min_size=1, max_size=3)))
+            else:
+                endo = draw(st.sampled_from(powers)) if periodic else None
+            mult = 0 if _rarely(draw) else draw(st.integers(1, 2))
+            desc[Indecomposable(periodic, tuple(top), tuple(bottom), endo)] += mult
+        return p, desc
+    p = 2 if _rarely(draw) else 3
+    r = draw(st.integers(0 if _rarely(draw) else 1, 3))
+    grid = [[0] * r for _ in range(r)]
+    for q in range(r):
+        grid[q][q] = 2 * draw(st.integers(0, 1))
+        for t in range(q + 1, r):
+            grid[q][t] = grid[t][q] = draw(st.integers(0, 2))
+    if r and not any(grid[-1]) and not _rarely(draw):
+        grid[-1][-1] = 2                      # a variable of the top height
+    if r and _rarely(draw):
+        grid[0][-1] += 1                      # asymmetric, or an odd diagonal
+    if r and _rarely(draw):
+        grid[-1] = grid[-1][:-1]              # ragged
+    grid = tuple(map(tuple, grid))
+    # keep dim O(F) = p^(sum of heights) small
+    assume(p ** sum((q + 1) * sum(row) for q, row in enumerate(grid)) <= 729)
+    k = _row(draw, r)
+    if kind == "contact":
+        return p, ContactInvariant(k, grid)
+    ells = [t + 1 for t in range(r) if 1 <= k <= r and t < len(grid[k - 1])
+            and grid[k - 1][t]]
+    ell = draw(st.sampled_from(ells)) if ells and not _rarely(draw) else _row(draw, r)
+    return p, Type2Invariant(k, ell, grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_invariant_data())
+def test_normal_shape_rejects_or_round_trips(data):
+    """normal_shape either raises ValueError or gives a form whose
+    invariants are the datum again."""
+    p, inv = data
+    try:
+        cand = normal_shape(inv, p)
+    except ValueError:
+        return
+    assert invariants(cand) == inv
 
 
 def test_orbit_invariance_fuzz():

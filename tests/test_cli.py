@@ -1,6 +1,10 @@
+import contextlib
+import io
 import itertools
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -541,3 +545,107 @@ def test_cli_flag_invariants_matrix_shape(tmp_path, capsys, dims, matrix):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: matrix: ")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the form readers and the verbs with mutated golden-corpus files.
+# ---------------------------------------------------------------------------
+
+_CORPUS = json.loads((Path(__file__).parent / "golden" / "cli_corpus.json").read_text())
+_FORM_FILES = sorted({rec["file"] for rec in _CORPUS.values() if "file" in rec})
+_JUNK = st.sampled_from(["x", 1.5, [], {}, None, True, False, -1, 0, 4, 17,
+                         10 ** 6, [True], [0], ["x"], [[1]]])
+_ENTRY = st.sampled_from([-1, 0, 1, 2, 3, 99, True, False, "x", None, 1.5, [0]])
+
+
+@st.composite
+def _mutated_form(draw):
+    """A golden-corpus form file with one field replaced by a wrong type, a
+    boolean, an out-of-range value or nothing; one `mono`, `wedge` or
+    `coeff` entry of a term changed; or its heights or degree changed."""
+    form = json.loads(draw(st.sampled_from(_FORM_FILES)))
+    how = draw(st.sampled_from(["field", "term", "term", "heights", "degree"]))
+    if how == "field":
+        key = draw(st.sampled_from(sorted(form)))
+        if draw(st.booleans()):
+            del form[key]
+        else:
+            form[key] = draw(_JUNK)
+    elif how == "term" and form["terms"]:
+        term = form["terms"][draw(st.integers(0, len(form["terms"]) - 1))]
+        part = draw(st.sampled_from(["mono", "wedge", "coeff"]))
+        action = draw(st.sampled_from(["replace", "entry", "entry", "append"]))
+        if part == "coeff" or action == "replace":
+            term[part] = draw(st.one_of(_JUNK, _ENTRY))
+        elif action == "entry" and term[part]:
+            term[part][draw(st.integers(0, len(term[part]) - 1))] = draw(_ENTRY)
+        else:
+            term[part].append(draw(st.integers(0, 3)))
+    elif how == "heights":
+        heights = form["heights"]
+        at = draw(st.integers(0, len(heights)))
+        if at == len(heights):
+            heights.append(draw(st.integers(1, 3)))
+        elif draw(st.booleans()):
+            heights[at] = draw(st.one_of(st.integers(-1, 3), st.just(True)))
+        else:
+            del heights[at]
+    else:
+        form["degree"] = draw(st.integers(-1, 4))
+    return form
+
+
+def _verb_exit(argv) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert re.search(r"^error: \S+: ", err, re.M), err
+    return code
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_form(), st.sampled_from(_FORM_FILES))
+def test_fuzz_verbs_on_mutated_form_files(tmp_path_factory, form, other):
+    """Every verb answers a mutated form file with exit 0, 1 or 2 (with an
+    `error: <field>: ` line), never with the exit 3 of a program fault."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    bad, good = tmp / "bad.json", tmp / "good.json"
+    bad.write_text(json.dumps(form))
+    good.write_text(other)
+    for verb in ("check", "invariants", "normalize"):
+        _verb_exit([verb, str(bad)])
+    _verb_exit(["equiv", str(bad), str(good)])
+    _verb_exit(["equiv", str(good), str(bad)])
+
+
+_AUTOMORPHISMS = [automorphism_to_json(random_in(random.Random(seed), FlagSpec(p, h), "G"))
+                  for seed, p, h in [(1, 2, (1, 2)), (2, 3, (1, 1)), (3, 5, (1,))]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_AUTOMORPHISMS), st.data())
+def test_fuzz_automorphism_from_json_on_mutated_images(record, data):
+    """A mutated image list reads as an automorphism or raises FormatError."""
+    images = json.loads(json.dumps(record["images"]))
+    how = data.draw(st.sampled_from(["list", "image", "term"]))
+    at = data.draw(st.integers(0, len(images) - 1))
+    if how == "list":
+        images = data.draw(st.one_of(_JUNK, st.just(images[:-1]),
+                                     st.just(images + images[:1])))
+    elif how == "image" or not images[at]:
+        images[at] = data.draw(_JUNK)
+    else:
+        term = images[at][data.draw(st.integers(0, len(images[at]) - 1))]
+        part = data.draw(st.sampled_from(["mono", "coeff"]))
+        if part == "mono" and data.draw(st.booleans()):
+            term["mono"][data.draw(st.integers(0, len(term["mono"]) - 1))] = \
+                data.draw(_ENTRY)
+        else:
+            term[part] = data.draw(st.one_of(_JUNK, _ENTRY))
+    try:
+        automorphism_from_json(dict(record, images=images))
+    except FormatError:
+        pass

@@ -217,13 +217,11 @@ def test_functional_invariants_conjugation():
         fb2 = flagged_from_dims(p, dims, M2)
         # induced action on the factor: new section reps are A^{-1}(old)?
         # f transforms contravariantly: f2(v) = f(class of A v)
-        lifted = fac.lift()
-        moved = modp(lifted @ A, p)  # rows: images of section reps under A^T?
         # compute f2 on the canonical section of fb2's factor
         fac2 = gfp.make_factor(fb2.flag[k - 1], fb2.flag[k], p)
         # the map v -> A v sends fb2-classes to fb-classes; evaluate f there
         f2 = []
-        for row in fac2.lift():
+        for row in fac2.section:
             img = modp(row @ A.T, p)
             coords = fac.project_vectors(img.reshape(1, -1))[0]
             f2.append(int(modp(coords @ f, p)))

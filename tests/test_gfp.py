@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from charpforms import gfp
 from charpforms.flagbilinear import coordinate_flag
 from charpforms.gfp import (
-    INF, companion, det, elementary_divisors, empty_space, eye, full_space,
+    companion, det, elementary_divisors, empty_space, eye, full_space,
     induced_iso, inverse, irreducibles, make_factor, make_flag, modp,
     nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
     preimage_rows, quotient_section, rank, restrict_flag, row_space, rref,
-    solve, solve_rows, subspace_eq, subspace_intersection, subspace_sum,
+    solve_rows, subspace_eq, subspace_intersection, subspace_sum,
     transfer_flag_via_iso,
 )
 
@@ -51,7 +51,7 @@ def test_solve_and_inverse():
         for _ in range(20):
             A = gfp.random_invertible(rng, 4, p)
             b = gfp.random_matrix(rng, 4, 1, p).reshape(-1)
-            x = solve(A, b, p)
+            x = solve_rows(A.T, b, p)
             assert np.array_equal(modp(A @ x, p), b)
             Ai = inverse(A, p)
             assert np.array_equal(modp(A @ Ai, p), eye(4))
@@ -96,7 +96,7 @@ def test_quotient_section_gives_representatives():
     fac = make_factor(sub, sup, p)
     v = np.array([2, 2, 1])  # = 2*(1,1,0) + (0,0,1)
     coords = fac.project_vectors(v.reshape(1, -1))
-    back = modp(coords @ fac.lift(), p)
+    back = modp(coords @ fac.section, p)
     d = solve_rows(sub, modp(v - back[0], p), p)
     assert d is not None
 
@@ -207,8 +207,8 @@ def test_flag_basics():
     F = make_flag(2, "inc", coordinate_flag([1, 2]), p)
     assert F.factor(0).dim == 1
     assert F.factor(1).dim == 1
-    assert F.factor(INF).dim == 0
-    assert F.factor_labels() == [0, 1]
+    assert F.factor(2).dim == 0
+    assert F.labels == (0, 1)
     assert not F.is_trivial()
     T = make_flag(2, "inc", coordinate_flag([2]), p)
     assert T.is_trivial()
@@ -218,18 +218,19 @@ def test_transfer_via_pairing_zero_and_nondeg():
     p = 3
     target = make_flag(2, "inc", coordinate_flag([1, 2]), p)
     F = make_flag(2, "inc", coordinate_flag([1, 2]), p)
-    # zero pairing: constant flag equal to the whole factor, radical at oo
+    # zero pairing: constant flag equal to the whole factor, radical in the
+    # top factor
     T = restrict_flag(orthogonal_flag(gfp.zeros(2, 2), F, p), target, 0)
     assert T.direction == "dec"
-    assert all(T.space(q).shape[0] == T.ambient_dim for q in range(len(T.finite)))
-    assert T.space(INF).shape[0] == T.ambient_dim
+    assert all(S.shape[0] == T.ambient_dim for S in T.spaces[:-1])
+    assert T.spaces[-2].shape[0] == T.ambient_dim
     # nondegenerate pairing, one-step flag -> one-step flag on the factor
     b = np.array([[0, 1], [2, 0]])
     F1 = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
     big = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
     T1 = restrict_flag(orthogonal_flag(b, F1, p), big, 0)
-    assert T1.space(0).shape[0] == 2 and T1.space(1).shape[0] == 0
-    assert T1.space(INF).shape[0] == 0
+    assert T1.spaces[0].shape[0] == 2 and T1.spaces[1].shape[0] == 0
+    assert T1.spaces[-2].shape[0] == 0
 
 
 def test_transfer_via_iso_permutation():
@@ -239,7 +240,7 @@ def test_transfer_via_iso_permutation():
     target = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
     T = transfer_flag_via_iso(mu, F, target, 0, p, mode="preimage")
     # preimage of span{e1} under the swap is span{e2}
-    assert subspace_eq(T.space(1), row_space(np.array([[0, 1]]), p))
+    assert subspace_eq(T.spaces[1], row_space(np.array([[0, 1]]), p))
 
 
 def test_induced_iso_identity_and_scalar():
@@ -289,10 +290,6 @@ def _random_flag(rng, n, direction, p):
     dims = sorted(rng.randrange(n + 1) for _ in range(rng.randrange(3)))
     spaces = [basis[:d] for d in [0] + dims + [n]]
     return make_flag(n, direction, spaces if direction == "inc" else spaces[::-1], p)
-
-
-def _spaces(F):
-    return list(F.finite) + [F.inf, F.inf1]
 
 
 def _factors(rng, n, p):
@@ -352,14 +349,41 @@ def test_transfer_via_iso_matches_move_then_restrict(p):
             moves = {"preimage": lambda S: _preimage_oracle(mu, S, p),
                      "image": lambda S: row_space(modp(S @ mu.T, p), p)}
             for mode, move in moves.items():
-                for k in target.factor_labels():
+                for k in target.labels:
                     fac = target.factor(k)
                     T = transfer_flag_via_iso(mu, F, target, k, p, mode=mode)
                     assert T.direction == F.direction and T.ambient_dim == fac.dim
-                    want = [_image_oracle(fac, move(S), p) for S in _spaces(F)]
-                    got = _spaces(T)
+                    want = [_image_oracle(fac, move(S), p) for S in F.spaces]
+                    got = T.spaces
                     assert len(got) == len(want)
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_reading_E_into_a_factor_gives_E(p):
+    """E (everything for an increasing flag, 0 for a decreasing one) read
+    into a factor, by restrict_flag and by both modes of
+    transfer_flag_via_iso, is E of the factor: what lets the flag
+    constructors append E instead of reading it.  E is read here as the
+    space below the top of a flag that repeats it."""
+    rng = random.Random(300 + p)
+    for n in range(1, 6):
+        for _ in range(5):
+            mu = gfp.random_invertible(rng, n, p)
+            target = _random_flag(rng, n, rng.choice(["inc", "dec"]), p)
+            for direction in ("inc", "dec"):
+                F = _random_flag(rng, n, direction, p)
+                G = make_flag(n, direction, F.spaces, p)
+                assert subspace_eq(G.spaces[-2], F.spaces[-1])
+                for k in target.labels:
+                    d = target.factor(k).dim
+                    E = full_space(d) if direction == "inc" else empty_space(d)
+                    reads = [restrict_flag(G, target, k)] + [
+                        transfer_flag_via_iso(mu, G, target, k, p, mode=mode)
+                        for mode in ("preimage", "image")]
+                    for T in reads:
+                        assert np.array_equal(T.spaces[-2], E)
+                        assert np.array_equal(T.spaces[-1], E)
 
 
 def test_poly_factor_and_companion():

@@ -4,7 +4,8 @@
 stdout and (for `-o` runs) the written file of one in-process `main` call.
 Every form is generated by `random` from a fixed seed, so the corpus pins
 `random`, `check`, `invariants`, `normalize`, `equiv` and `cohomology`
-byte for byte.  Regenerate it only when an output change is intended:
+byte for byte.  `tests/golden/demo_stdout.json` maps each script of `demos/`
+to its stdout.  Regenerate both only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,13 +14,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 from charpforms.cli import main
 
-CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "golden" / "cli_corpus.json"
+DEMO_STDOUT = ROOT / "tests" / "golden" / "demo_stdout.json"
 
 # (kind, p, heights); each cell runs at seeds 1 and 2.
 CELLS = (
@@ -83,12 +88,27 @@ def run_corpus(workdir: Path) -> dict:
     return out
 
 
+def run_demos() -> dict:
+    """The stdout of each demo script, run as its own process on `src`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [x for x in [env.get("PYTHONPATH")] if x])
+    return {demo.name: subprocess.run(
+                [sys.executable, str(demo)], env=env, cwd=ROOT, check=True,
+                capture_output=True, text=True).stdout
+            for demo in sorted((ROOT / "demos").glob("*.py"))}
+
+
 def test_golden_corpus(tmp_path):
     expected = json.loads(CORPUS.read_text())
     got = run_corpus(tmp_path)
     assert sorted(got) == sorted(expected)
     for name in expected:
         assert got[name] == expected[name], name
+
+
+def test_demo_stdout():
+    assert run_demos() == json.loads(DEMO_STDOUT.read_text())
 
 
 if __name__ == "__main__":
@@ -98,3 +118,5 @@ if __name__ == "__main__":
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"{len(corpus)} cases, {CORPUS.stat().st_size} bytes -> {CORPUS}",
           file=sys.stderr)
+    DEMO_STDOUT.write_text(json.dumps(run_demos(), indent=1, sort_keys=True) + "\n")
+    print(f"demo stdout -> {DEMO_STDOUT}", file=sys.stderr)
