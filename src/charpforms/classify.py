@@ -372,9 +372,9 @@ def _check_descriptor(desc: Counter, p: int) -> None:
             raise FormatError("descriptor", f"{label} x {mult} is not a canonical "
                                             f"label with a positive multiplicity")
         endo = ind.endo
-        if not ind.periodic and endo is not None or ind.periodic and not (
-                endo and endo[0] and endo[-1] == 1 and max(endo) < p
-                and min(endo) >= 0 and len(gfp.pfactor(endo, p)) == 1):
+        if (endo is not None) != ind.periodic or endo is not None and not (
+                endo and endo[0] and endo[-1] == 1 and 0 <= min(endo)
+                and max(endo) < p and len(gfp.pfactor(endo, p)) == 1):
             raise FormatError("descriptor", f"endo {endo} on {label}")
 
 
