@@ -7,13 +7,10 @@ descriptor); type 2 carries a nontrivial unit class exp(sum e_i x_i) and is
 classified by the height level of e plus a flag-relative grid.  Contact
 forms are classified by a distinguished height and a grid.
 """
-import numpy as np
-
 from charpforms.algebra import AlgebraElement, FlagSpec
-from charpforms.classify import (ContactCandidate, SymplecticCandidate,
-                                 apply_to_candidate, equivalent, invariants,
-                                 is_contact, is_symplectic, normal_shape,
-                                 random_form)
+from charpforms.classify import (SymplecticCandidate, apply_to_candidate,
+                                 equivalent, invariants, is_contact,
+                                 is_symplectic, normal_shape, random_form)
 from charpforms.forms import DiffForm, render_form
 from charpforms.groups import random_in
 import random

@@ -7,7 +7,7 @@ top-cocycle basis of the cohomology, the exactness solver, and the twisted
 from charpforms.algebra import AlgebraElement, FlagSpec, render_element
 from charpforms.forms import (DiffForm, cohomology_basis, cohomology_dims,
                               d_element, decompose_z1, dlog, e_vector_form,
-                              h_class, is_exact_with_potential, render_form,
+                              is_exact_with_potential, render_form,
                               twisted_cohomology_dims)
 
 spec = FlagSpec(p=3, heights=(1, 2))

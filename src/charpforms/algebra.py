@@ -492,17 +492,6 @@ def _is_pure_power(mono: Mono, p: int):
     return (i, l) if a == 1 else None
 
 
-def C_k_basis_count(spec: FlagSpec, k: int) -> int:
-    """Dimension of C_k(F): all of m(F) minus the excluded pure powers."""
-    total = spec.dim - 1
-    excluded = 0
-    for m in spec.heights:
-        # pure powers x_i^(p^l) with l + k >= m and l < m (so the power is
-        # inside the algebra)
-        excluded += len([l for l in range(m) if l + k >= m])
-    return total - excluded
-
-
 def in_C_k_mono(mono: Mono, k: int, spec: FlagSpec) -> bool:
     pw = _is_pure_power(mono, spec.p)
     if pw is None:

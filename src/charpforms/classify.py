@@ -131,7 +131,7 @@ def is_symplectic(cand: SymplecticCandidate) -> str:
     closed = cand.body.d() + e_vector_form(spec, cand.u_class).wedge(cand.body)
     if closed:
         return "no"
-    if gfp.det(constant_bivector(cand.body), p) == 0:
+    if not gfp.is_invertible(constant_bivector(cand.body), p):
         return "no"
     return "type2" if cand.has_u() else "type1"
 
@@ -195,7 +195,7 @@ def is_contact(cand: ContactCandidate, domega: DiffForm | None = None) -> bool:
     M[:n, :n] = db
     M[:n, n] = x
     M[n, :n] = (-x) % spec.p
-    return gfp.det(M, spec.p) != 0
+    return gfp.is_invertible(M, spec.p)
 
 
 def contact_split(cand: ContactCandidate):
@@ -393,6 +393,9 @@ def normal_shape(inv, p: int):
         return _type1_form(FlagSpec(p, heights), a, c)
     if isinstance(inv, Type2Invariant):
         grid, heights = _grid_heights(inv, contact=False)
+        if p == 2 and grid[0].any():
+            raise FormatError("grid", "type-2 forms at p = 2 need all heights > 1: "
+                                      "the first row must be zero")
         if not 1 <= inv.ell <= grid.shape[0] or grid[inv.k - 1, inv.ell - 1] == 0:
             raise FormatError("l", "inadmissible type-2 invariants: n_kl = 0")
         spec = FlagSpec(p, heights)
@@ -546,7 +549,7 @@ def random_form(kind: str, spec: FlagSpec, seed: int):
             return gfp.modp(m - m.T, p)     # zero diagonal
 
         a = alternating()
-        while not gfp.det(a, p):
+        while not gfp.is_invertible(a, p):
             a = alternating()
         cand = _type1_form(spec, a, alternating())
     elif kind == "type2":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gfp
 from .gfp import (empty_space, ensure, eye, full_space, modp,
-                  orthogonal_subspace, row_space, subspace_eq,
+                  orthogonal_subspace, row_space,
                   subspace_intersection, subspace_sum, zeros)
 
 
@@ -106,7 +106,7 @@ def same_orbit_flagged(fb: FlaggedBilinear, fb2: FlaggedBilinear) -> bool:
     if fb.p != fb2.p or len(fb.flag) != len(fb2.flag):
         raise ValueError("flag mismatch")
     for A, B in zip(fb.flag, fb2.flag):
-        if not subspace_eq(A, B):
+        if not np.array_equal(A, B):
             raise ValueError("flag mismatch")
     return np.array_equal(invariants_nqt(fb), invariants_nqt(fb2))
 

@@ -39,13 +39,6 @@ def _merge_sign(I: tuple, J: tuple):
     return tuple(out), (-1) ** inversions
 
 
-def _insert_sign(i: int, I: tuple):
-    if i in I:
-        return None, 0
-    pos = sum(1 for j in I if j < i)
-    return tuple(sorted(I + (i,))), (-1) ** pos
-
-
 class DiffForm:
     """Sparse differential form with AlgebraElement coefficients."""
 
@@ -114,7 +107,7 @@ class DiffForm:
                 df = f.partial(i)
                 if not df:
                     continue
-                J, sign = _insert_sign(i, I)
+                J, sign = _merge_sign((i,), I)
                 if J is None:
                     continue
                 piece = df.scale(sign)
@@ -211,11 +204,6 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def lie_derivative(coeffs: list[AlgebraElement], omega: DiffForm) -> DiffForm:
-    """Cartan's formula: L_delta = i_delta d + d i_delta."""
-    return omega.d().contract(coeffs) + omega.contract(coeffs).d()
-
-
 def render_form(omega: DiffForm) -> str:
     from .algebra import render_element
     if not omega.terms:
@@ -270,7 +258,7 @@ def _block_d_matrix(spec: FlagSpec, elems_k, elems_k1, p: int) -> np.ndarray:
         for i in range(spec.n):
             if mono[i] == 0 or i in I:
                 continue
-            J, sign = _insert_sign(i, I)
+            J, sign = _merge_sign((i,), I)
             tgt = (mono[:i] + (mono[i] - 1,) + mono[i + 1:], J)
             r = index.get(tgt)
             if r is not None:
@@ -497,7 +485,7 @@ def _twisted_block_dims(spec: FlagSpec, pattern, e) -> list[int]:
                 # w_i != 0 (a_i = w_i) -- for w_i = 0 the out-option has a=0.
                 # eta-part needs a_i = 0 and multiplies by the top power:
                 # target exponent cap-1, i.e. the in-option of a w_i = 0 slot.
-                J, sign = _insert_sign(i, I)
+                J, sign = _merge_sign((i,), I)
                 if not pattern[i]:
                     M[index[J], c] = (M[index[J], c] + sign) % p
                 elif e[i]:

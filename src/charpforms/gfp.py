@@ -6,14 +6,14 @@ A of shape (m, n) sends a column vector v in F_p^n to A @ v in F_p^m; a
 pairing b: V x U -> K is a matrix of shape (dim V, dim U) with
 b(v, u) = v^T b u.
 
-Every row reduction (rref, rank, nullspace, solves, inverse, determinant,
-quotient sections) uses one pivot rule: the pivot of a column is the first
-row, at or below the current one, with a nonzero entry there.  Matrices with
-at most SMALL_ENTRIES entries (m*n <= 256, the 16x16 and smaller systems of
-the classification pipeline) are reduced as lists of Python-int rows
-(`_reduce`), which beats numpy's per-call overhead at that size.  Larger ones
-(the dense systems of contact splitting) are reduced by `_rref_large` in
-place on one int16 array: entries lie in [0, p) with p <= 13, so each update
+Every row reduction (rref, rank, nullspace, solves, inverse, quotient
+sections) uses one pivot rule: the pivot of a column is the first row, at
+or below the current one, with a nonzero entry there.  `_eliminate` reduces
+matrices with at most SMALL_ENTRIES entries (m*n <= 256, the 16x16 and
+smaller systems of the classification pipeline) as lists of Python-int
+rows, which beats numpy's per-call overhead at that size.  Larger ones (the
+dense systems of contact splitting) are reduced by `_rref_large` in place
+on one int16 array: entries lie in [0, p) with p <= 13, so each update
 x - f*y stays within [-144, 12], and a pivot only touches the rows with a
 nonzero entry in its column, from its column on.  `rref` and `nullspace`,
 which contact splitting calls on its large systems, keep them as arrays end
@@ -150,18 +150,17 @@ def _matrix(rows, n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
-def _reduce(rows: list, n: int, p: int) -> tuple[list[int], int]:
-    """Reduce rows to rref in place, in plain Python.
-
-    The pivot of a column is the first row, at or below the current one,
-    with a nonzero entry there.  Returns the pivot columns and the product
-    of the pivot values, negated once per row swap: the determinant, for a
-    square nonsingular matrix.
-    """
-    inv = _inverse_table(p)
+def _eliminate(rows: list, n: int, p: int) -> list[int]:
+    """rref of rows in place, by the pivot rule above; returns the pivot
+    columns."""
     m = len(rows)
+    if m * n > SMALL_ENTRIES:
+        A = np.array(rows, dtype=np.int16).reshape(m, n)
+        pivots = _rref_large(A, p)
+        rows[:] = A.tolist()
+        return pivots
+    inv = _inverse_table(p)
     pivots: list[int] = []
-    scale = 1
     r = 0
     for c in range(n):
         if r == m:
@@ -174,10 +173,8 @@ def _reduce(rows: list, n: int, p: int) -> tuple[list[int], int]:
         base = rows[i]
         if i != r:
             rows[i] = rows[r]
-            scale = -scale
         a = base[c]
         if a != 1:
-            scale = scale * a % p
             a = inv[a]
             base = [x * a % p for x in base]
         rows[r] = base
@@ -187,17 +184,7 @@ def _reduce(rows: list, n: int, p: int) -> tuple[list[int], int]:
                 rows[i] = [(x - f * y) % p for x, y in zip(row, base)]
         pivots.append(c)
         r += 1
-    return pivots, scale % p
-
-
-def _eliminate(rows: list, n: int, p: int) -> list[int]:
-    """rref of rows in place; returns the pivot columns."""
-    if len(rows) * n > SMALL_ENTRIES:
-        A = np.array(rows, dtype=np.int16).reshape(len(rows), n)
-        pivots = _rref_large(A, p)
-        rows[:] = A.tolist()
-        return pivots
-    return _reduce(rows, n, p)[0]
+    return pivots
 
 
 def _rref_large(A: np.ndarray, p: int) -> list[int]:
@@ -364,13 +351,6 @@ def is_alternating(M, p: int) -> bool:
         not np.any((M + M.T) % p) and not np.any(np.diagonal(M))
 
 
-def det(A, p: int) -> int:
-    """Determinant over F_p by elimination."""
-    rows, n = _rows(A, p)
-    pivots, scale = _reduce(rows, n, p)
-    return scale if len(pivots) == len(rows) else 0
-
-
 def random_matrix(rng, m: int, n: int, p: int) -> np.ndarray:
     return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)],
                     dtype=np.int64).reshape(m, n)
@@ -418,10 +398,6 @@ def subspace_intersection(A, B, p: int) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ValueError("ambient dimension mismatch")
     return _zassenhaus(A, A, B, p)
-
-
-def subspace_eq(A, B) -> bool:
-    return A.shape == B.shape and np.array_equal(A, B)
 
 
 def subspace_leq(A, B, p: int) -> bool:

@@ -59,7 +59,7 @@ class Automorphism:
                 raise ValueError(
                     f"image {i} is outside C_{spec.heights[i] - 1}(F): "
                     "some required divided power escapes")
-        if gfp.det(self.linear_matrix(), spec.p) == 0:
+        if not gfp.is_invertible(self.linear_matrix(), spec.p):
             raise ValueError("Jacobian det(d_i y_j) is not invertible")
         self._mono_cache = {}
         self._power_cache = {}
@@ -152,13 +152,6 @@ class Automorphism:
             return True
         return all((y - AlgebraElement.generator(self.spec, i)).in_filtration(j + 1)
                    for i, y in enumerate(self.images))
-
-    def classify_membership(self) -> dict:
-        top = self.spec.top_degree
-        return {
-            "in_Gprime": self.in_Gprime(),
-            "in_G_j": {j: self.in_G_j(j) for j in range(1, top + 1)},
-        }
 
 
 def identity_automorphism(spec: FlagSpec) -> Automorphism:
@@ -263,20 +256,13 @@ def random_in(rng, spec: FlagSpec, group: str = "G", j: int = 0,
 
 # -- u-class transport ------------------------------------------------------------
 
-def transport_u_class(sigma: Automorphism, e) -> np.ndarray:
-    """Push the class of exp(sum e_i x_i) through sigma.
-
-    Computes d(sigma(sum e_i x_i)), a closed 1-form, and returns its
-    dE-component.  Elements of G' act trivially.
-    """
-    return transport_witness(sigma, e)[0]
-
-
 def transport_witness(sigma: Automorphism, e):
     """(e', w, lam) with sigma(exp(sum e_i x_i)) = lam * w * exp(sum e'_i x_i).
 
-    w is a unit of O(F) and lam a nonzero scalar; used to rewrite
-    sigma(exp(e) * body) as a candidate in normal u-class position.
+    e' is the dE-component of the closed 1-form d(sigma(sum e_i x_i)), so
+    elements of G' fix it; w is a unit of O(F) and lam a nonzero scalar.
+    Used to rewrite sigma(exp(e) * body) as a candidate in normal u-class
+    position.
     """
     spec = sigma.spec
     p = spec.p

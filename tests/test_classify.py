@@ -219,8 +219,9 @@ def test_normal_shape_round_trips_catalog():
                 assert invariants(cand) == inv
 
 
-# Invariant data that no form has: each used to crash normal_shape or to
-# answer for another class.
+# Invariant data that no form has, with the field its FormatError names and
+# the prime if not 3: each used to crash normal_shape, to answer for another
+# class or to name a field the caller never passed.
 _OUTSIDE = [
     (Type2Invariant(5, 1, ((2,),)), "k"),
     (Type2Invariant(1, 1, ((1,),)), "grid"),
@@ -238,13 +239,16 @@ _OUTSIDE = [
     (Counter({Indecomposable(False, (2,), (1,), None): 1}), "descriptor"),
     (Counter({Indecomposable(False, (1,), (2,), (2, 1)): 1}), "descriptor"),
     (Counter({Indecomposable(False, (1,), (1,), None): 0}), "descriptor"),
+    (Type2Invariant(1, 1, ((2,),)), "grid", 2),          # height 1 at p = 2
 ]
 
 
-@pytest.mark.parametrize("inv, field", _OUTSIDE)
-def test_normal_shape_rejects_data_outside_the_classification(inv, field):
+@pytest.mark.parametrize("inv, field, p", [
+    pytest.param(inv, field, *(p or [3]), id=f"inv{i}-{field}")
+    for i, (inv, field, *p) in enumerate(_OUTSIDE)])
+def test_normal_shape_rejects_data_outside_the_classification(inv, field, p):
     with pytest.raises(FormatError) as err:
-        normal_shape(inv, 3)
+        normal_shape(inv, p)
     assert err.value.field == field
 
 

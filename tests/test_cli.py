@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from charpforms import cli
 from charpforms.algebra import AlgebraElement, FlagSpec
 from charpforms.classify import (SymplecticCandidate, invariants,
-                                 random_form)
+                                 normal_shape, random_form)
 from charpforms.cli import main
 from charpforms.forms import DiffForm
 from charpforms.gfp import CheckFailed
@@ -22,6 +22,7 @@ from charpforms.jsonio import (FormatError, automorphism_from_json,
                                automorphism_to_json, form_from_json,
                                form_to_json, invariants_from_json,
                                invariants_to_json)
+from tests.test_classify import _small_invariant_data
 
 
 def write_form(tmp_path, cand, name="f.json"):
@@ -649,3 +650,41 @@ def test_fuzz_automorphism_from_json_on_mutated_images(record, data):
         automorphism_from_json(dict(record, images=images))
     except FormatError:
         pass
+
+
+# Replacements that keep every size small: a datum read whole from such a
+# file names at most a few more variables than the one it was mutated from.
+_SMALL_JUNK = st.sampled_from(["x", 1.5, [], {}, None, True, False, -1, 0, 1,
+                               2, 3, [True], [0], ["x"], [[1]], [2, 2]])
+
+
+def _json_nodes(doc) -> list:
+    """(container, key) of every value nested in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    out = []
+    for key, val in items:
+        out.append((doc, key))
+        out.extend(_json_nodes(val))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_invariant_data(), st.data())
+def test_fuzz_invariants_from_json_into_normal_shape(datum, data):
+    """A mutated invariants file reads into a datum whose normal shape has
+    that datum as its invariants, or raises FormatError on the way."""
+    p, inv = datum
+    doc = invariants_to_json(inv)
+    for _ in range(data.draw(st.integers(0, 2))):
+        container, key = data.draw(st.sampled_from(_json_nodes(doc)))
+        if data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = json.loads(json.dumps(data.draw(_SMALL_JUNK)))
+    try:
+        read = invariants_from_json(doc)
+        cand = normal_shape(read, p)
+    except FormatError:
+        return
+    assert invariants(cand) == read

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from charpforms import gfp
 from charpforms.flagbilinear import coordinate_flag
 from charpforms.gfp import (
-    companion, det, elementary_divisors, empty_space, eye, full_space,
+    companion, elementary_divisors, empty_space, eye, full_space,
     induced_iso, inverse, irreducibles, make_factor, make_flag, modp,
     nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
     preimage_rows, quotient_section, rank, restrict_flag, row_space, rref,
-    solve_rows, subspace_eq, subspace_intersection, subspace_sum,
+    solve_rows, subspace_intersection, subspace_sum,
     transfer_flag_via_iso,
 )
 
@@ -42,7 +42,7 @@ def test_rref_canonical():
     R, piv = rref(A, p)
     assert piv == [0, 2]
     B = np.array([[2, 1, 0], [0, 0, 2]])
-    assert subspace_eq(row_space(A, p), row_space(B, p))
+    assert np.array_equal(row_space(A, p), row_space(B, p))
 
 
 def test_solve_and_inverse():
@@ -82,8 +82,8 @@ def test_subspace_basics():
     e1 = row_space(np.array([[1, 0, 0]]), p)
     e2 = row_space(np.array([[0, 1, 0]]), p)
     e12 = row_space(np.array([[1, 0, 0], [0, 1, 0]]), p)
-    assert subspace_eq(subspace_intersection(e1, e12, p), e1)
-    assert subspace_eq(subspace_sum(e1, e2, p), e12)
+    assert np.array_equal(subspace_intersection(e1, e12, p), e1)
+    assert np.array_equal(subspace_sum(e1, e2, p), e12)
 
 
 def test_quotient_section_gives_representatives():
@@ -122,7 +122,7 @@ def test_quotient_section_is_canonical_complement(data):
     assert not np.any(sec[:, rref(sub, p)[1]])
     assert np.array_equal(row_space(sec, p), sec)
     assert sec.shape[0] == sup.shape[0] - sub.shape[0]
-    assert subspace_eq(subspace_sum(sub, sec, p), sup)
+    assert np.array_equal(subspace_sum(sub, sec, p), sup)
     assert np.array_equal(quotient_section(sub, A, p), sec)
 
 
@@ -152,7 +152,7 @@ def test_orthogonal_examples():
     p = 2
     b = np.array([[0, 1], [1, 0]])  # alternating over F_2
     e1 = row_space(np.array([[1, 0]]), p)
-    assert subspace_eq(orthogonal_subspace(b, e1, p), e1)
+    assert np.array_equal(orthogonal_subspace(b, e1, p), e1)
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
@@ -167,16 +167,16 @@ def test_orthogonal_identities_exhaustive(p, n):
     rad = orthogonal_subspace(b, full_space(n), p)
     orth = {i: orthogonal_subspace(b, M, p) for i, M in enumerate(subs)}
     for i, M in enumerate(subs):
-        assert subspace_eq(orthogonal_subspace(b, orth[i], p),
-                           subspace_sum(M, rad, p))
+        assert np.array_equal(orthogonal_subspace(b, orth[i], p),
+                              subspace_sum(M, rad, p))
     for i, M in enumerate(subs):
         for j, L in enumerate(subs):
             lhs = orthogonal_subspace(b, subspace_sum(M, L, p), p)
             rhs = subspace_intersection(orth[i], orth[j], p)
-            assert subspace_eq(lhs, rhs)
+            assert np.array_equal(lhs, rhs)
             lhs2 = orthogonal_subspace(b, subspace_intersection(M, orth[j], p), p)
             rhs2 = subspace_sum(orth[i], L, p)
-            assert subspace_eq(lhs2, rhs2)
+            assert np.array_equal(lhs2, rhs2)
 
 
 def test_orthogonal_identities_exhaustive_f3_dim4():
@@ -189,17 +189,17 @@ def test_orthogonal_identities_exhaustive_f3_dim4():
     rad = orthogonal_subspace(b, full_space(n), p)
     orth = [orthogonal_subspace(b, M, p) for M in subs]
     for M, MO in zip(subs, orth):
-        assert subspace_eq(orthogonal_subspace(b, MO, p),
-                           subspace_sum(M, rad, p))
+        assert np.array_equal(orthogonal_subspace(b, MO, p),
+                              subspace_sum(M, rad, p))
     orth_of = {(M.shape[0], M.tobytes()): MO for M, MO in zip(subs, orth)}
     for M, MO in zip(subs, orth):
         for L, LO in zip(subs, orth):
             S = subspace_sum(M, L, p)
-            assert subspace_eq(orth_of[(S.shape[0], S.tobytes())],
-                               subspace_intersection(MO, LO, p))
+            assert np.array_equal(orth_of[(S.shape[0], S.tobytes())],
+                                  subspace_intersection(MO, LO, p))
             I = subspace_intersection(M, LO, p)
-            assert subspace_eq(orth_of[(I.shape[0], I.tobytes())],
-                               subspace_sum(MO, L, p))
+            assert np.array_equal(orth_of[(I.shape[0], I.tobytes())],
+                                  subspace_sum(MO, L, p))
 
 
 def test_flag_basics():
@@ -240,7 +240,7 @@ def test_transfer_via_iso_permutation():
     target = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
     T = transfer_flag_via_iso(mu, F, target, 0, p, mode="preimage")
     # preimage of span{e1} under the swap is span{e2}
-    assert subspace_eq(T.spaces[1], row_space(np.array([[0, 1]]), p))
+    assert np.array_equal(T.spaces[1], row_space(np.array([[0, 1]]), p))
 
 
 def test_induced_iso_identity_and_scalar():
@@ -374,7 +374,7 @@ def test_reading_E_into_a_factor_gives_E(p):
             for direction in ("inc", "dec"):
                 F = _random_flag(rng, n, direction, p)
                 G = make_flag(n, direction, F.spaces, p)
-                assert subspace_eq(G.spaces[-2], F.spaces[-1])
+                assert np.array_equal(G.spaces[-2], F.spaces[-1])
                 for k in target.labels:
                     d = target.factor(k).dim
                     E = full_space(d) if direction == "inc" else empty_space(d)
@@ -476,12 +476,18 @@ def test_pfactor_large_irreducible():
 
 
 def test_det():
+    """A square matrix is invertible exactly when its integer determinant
+    is nonzero mod p."""
+    sympy = pytest.importorskip("sympy")
     p = 5
     rng = random.Random(9)
+    seen = set()
     for _ in range(30):
         A = gfp.random_matrix(rng, 3, 3, p)
-        d = det(A, p)
-        assert d == round(np.linalg.det(A)) % p
+        invertible = sympy.Matrix(A.tolist()).det() % p != 0
+        assert gfp.is_invertible(A, p) == invertible
+        seen.add(invertible)
+    assert seen == {True, False}
 
 
 def test_memo_shares_read_only_results():

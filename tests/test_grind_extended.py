@@ -4,12 +4,10 @@ import random
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from charpforms import gfp
-from charpforms.classify import (SymplecticCandidate, apply_to_candidate,
-                                 invariants, normal_shape)
-from charpforms.gfp import modp, pmul
+from charpforms.classify import apply_to_candidate, invariants, normal_shape
+from charpforms.gfp import modp
 from charpforms.grind import (Indecomposable, classify_type1_matrices,
                               descriptor_equal, synthesize_descriptor_matrices)
 from charpforms.groups import random_in
