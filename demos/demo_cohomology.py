@@ -1,8 +1,9 @@
 """Differential forms and their cohomology over a divided power algebra.
 
-Shows the exterior calculus, the block structure of the complex, the
-top-cocycle basis of the cohomology, the exactness solver, and the twisted
-(acyclic) complexes attached to nontrivial unit classes.
+Shows the exterior calculus, the top-cocycle basis of the cohomology,
+potentials read off the contracting homotopy of the complex (a tensor
+product of one-variable complexes), and the twisted (acyclic) complexes
+attached to nontrivial unit classes.
 """
 from charpforms.algebra import AlgebraElement, FlagSpec, render_element
 from charpforms.forms import (DiffForm, cohomology_basis, cohomology_dims,

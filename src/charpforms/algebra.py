@@ -345,14 +345,7 @@ class AlgebraElement:
         """f^(p^k) stays in O(F); monomial-wise basis test."""
         if self.constant_term():
             raise ValueError("C_k is only defined inside the maximal ideal")
-        for m in self.terms:
-            pw = _is_pure_power(m, self.spec.p)
-            if pw is None:
-                continue
-            i, l = pw
-            if l + k >= self.spec.heights[i]:
-                return False
-        return True
+        return all(in_C_k_mono(m, k, self.spec) for m in self.terms)
 
     def partial(self, i: int) -> "AlgebraElement":
         """The partial derivative d/dx_i: x_i^(k) -> x_i^(k-1)."""

@@ -326,6 +326,12 @@ def _pairing_partition(spec: FlagSpec, grid, exclude: int | None = None):
     return sets, pairing
 
 
+def _pairing_form(spec: FlagSpec, pairing: dict) -> DiffForm:
+    """sum_{i < tau(i)} x_i dx_{tau(i)} for the involution tau = pairing."""
+    return DiffForm(spec, 1, {(j,): AlgebraElement.generator(spec, i)
+                              for i, j in sorted(pairing.items()) if i < j})
+
+
 def _type1_form(spec: FlagSpec, a, c) -> SymplecticCandidate:
     """sum_{i<j} (a_ij + c_ij x_i^(top) x_j^(top)) dx_i ^ dx_j, u-class 0,
     for antisymmetric a and c reduced mod p."""
@@ -401,11 +407,7 @@ def normal_shape(inv, p: int):
         spec = FlagSpec(p, heights)
         sets, pairing = _pairing_partition(spec, grid)
         i0 = sets[(inv.k - 1, inv.ell - 1)][0]
-        eta = DiffForm(spec, 1, {})
-        for i in sorted(pairing):
-            j = pairing[i]
-            if i < j:
-                eta = eta + DiffForm(spec, 1, {(j,): AlgebraElement.generator(spec, i)})
+        eta = _pairing_form(spec, pairing)
         e = np.zeros(spec.n, dtype=np.int64)
         e[i0] = 1
         body = eta.d() + e_vector_form(spec, e).wedge(eta)
@@ -417,13 +419,8 @@ def normal_shape(inv, p: int):
         spec = FlagSpec(p, heights)
         i0 = next(i for i in range(spec.n) if spec.heights[i] == inv.k)
         sets, pairing = _pairing_partition(spec, grid, exclude=i0)
-        terms = {(i0,): AlgebraElement.one(spec)}
-        for i in sorted(pairing):
-            j = pairing[i]
-            if i < j:
-                terms[(j,)] = terms.get((j,), AlgebraElement.zero(spec)) + \
-                    AlgebraElement.generator(spec, i)
-        cand = ContactCandidate(DiffForm(spec, 1, terms))
+        cand = ContactCandidate(DiffForm(spec, 1, {(i0,): AlgebraElement.one(spec)})
+                                + _pairing_form(spec, pairing))
         ensure(is_contact(cand), "contact normal shape is not contact")
         return cand
     raise TypeError("unknown invariant datum")

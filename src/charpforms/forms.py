@@ -2,10 +2,11 @@
 
 A degree-k form is a sparse map {strictly increasing index tuple I (0-based,
 length k): AlgebraElement coefficient}.  The exterior derivative acts by
-d(f dx_I) = sum_i (d_i f) dx_i ^ dx_I and preserves the per-variable
-multidegree w(x^(a) dx_I) = a + 1_I, so the complex splits into blocks of
-dimension at most 2^n indexed by w; all exactness and cohomology questions
-are answered block by block, exactly.
+d(f dx_I) = sum_i (d_i f) dx_i ^ dx_I, so the complex is the tensor product
+of the one-variable complexes O_i -> O_i dx_i.  Their contracting homotopies
+give exact potentials in one pass over the terms and the cohomology basis of
+top cocycles; the cohomology dimensions come from small residue blocks of
+the twisted complex at e = 0.  Everything is exact over F_p.
 """
 from __future__ import annotations
 
@@ -164,36 +165,6 @@ class DiffForm:
             out = out + f * acc
         return out
 
-    def multidegrees(self):
-        """Support multidegrees w = alpha + 1_I."""
-        out = set()
-        for I, f in self.terms.items():
-            for m in f.terms:
-                w = list(m)
-                for i in I:
-                    w[i] += 1
-                out.add(tuple(w))
-        return out
-
-    def component(self, w: tuple) -> "DiffForm":
-        """The multidegree-w part."""
-        out: dict = {}
-        for I, f in self.terms.items():
-            target = list(w)
-            ok = True
-            for i in I:
-                target[i] -= 1
-                if target[i] < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            key = tuple(target)
-            c = f.terms.get(key)
-            if c:
-                out[I] = AlgebraElement(self.spec, {key: c})
-        return DiffForm(self.spec, self.degree, out)
-
 
 def _perm_sign(perm) -> int:
     sign = 1
@@ -223,58 +194,17 @@ def render_form(omega: DiffForm) -> str:
     return " + ".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Multidegree blocks.  At multidegree w the block basis in degree k consists
-# of the (alpha, I) with alpha + 1_I = w; per coordinate the options are
-# (a_i = w_i, i not in I) when w_i < p^{m_i} and (a_i = w_i - 1, i in I) when
-# 1 <= w_i <= p^{m_i}.
-# ---------------------------------------------------------------------------
-
-def _block_elements(spec: FlagSpec, w: tuple):
-    """All (mono, I) at multidegree w, grouped by |I|."""
-    per_coord = []
-    for i, wi in enumerate(w):
-        opts = []
-        if wi < spec.caps[i]:
-            opts.append((wi, False))
-        if 1 <= wi <= spec.caps[i]:
-            opts.append((wi - 1, True))
-        if not opts:
-            return {}
-        per_coord.append(opts)
-    by_degree: dict = {}
-    for combo in itertools.product(*per_coord):
-        mono = tuple(c[0] for c in combo)
-        I = tuple(i for i, c in enumerate(combo) if c[1])
-        by_degree.setdefault(len(I), []).append((mono, I))
-    return by_degree
-
-
-def _block_d_matrix(spec: FlagSpec, elems_k, elems_k1, p: int) -> np.ndarray:
-    """Matrix of d from the degree-k block basis to the degree-(k+1) basis."""
-    index = {e: r for r, e in enumerate(elems_k1)}
-    M = gfp.zeros(len(elems_k1), len(elems_k))
-    for c, (mono, I) in enumerate(elems_k):
-        for i in range(spec.n):
-            if mono[i] == 0 or i in I:
-                continue
-            J, sign = _merge_sign((i,), I)
-            tgt = (mono[:i] + (mono[i] - 1,) + mono[i + 1:], J)
-            r = index.get(tgt)
-            if r is not None:
-                M[r, c] = sign % p
-    return M
-
-
 def cohomology_dims(spec: FlagSpec) -> list[int]:
     """dim H^k for k = 0..n: the twisted complex at e = 0.
 
-    With e = 0, d' = d.  The residue block of d' at a coordinate with
-    w_i = 0 mod p^{m_i} holds (0, i not in I) and (p^{m_i} - 1, i in I): the
-    d-blocks at w_i = 0 and w_i = p^{m_i}, which d never joins (it lowers
-    a_i only from a_i != 0, at a coordinate outside I).  Every other residue
-    is one d-block at 0 < w_i < p^{m_i}.  So the residue blocks are direct
-    sums of the d-blocks, and their dims add up to those of H^*(d).
+    With e = 0, d' = d, which preserves the multidegree w(x^(a) dx_I) =
+    a + 1_I and so splits into d-blocks, one per w.  The residue block of
+    d' at a coordinate with w_i = 0 mod p^{m_i} holds (0, i not in I) and
+    (p^{m_i} - 1, i in I): the d-blocks at w_i = 0 and w_i = p^{m_i}, which
+    d never joins (it lowers a_i only from a_i != 0, at a coordinate outside
+    I).  Every other residue is one d-block at 0 < w_i < p^{m_i}.  So the
+    residue blocks are direct sums of the d-blocks, and their dims add up to
+    those of H^*(d).
     """
     return twisted_cohomology_dims(spec, [0] * spec.n)
 
@@ -294,44 +224,49 @@ def cohomology_basis(spec: FlagSpec, k: int) -> list[DiffForm]:
 
 
 def is_exact_with_potential(omega: DiffForm) -> DiffForm | None:
-    """A potential phi with d(phi) = omega, or None; input must be closed."""
+    """A potential phi with d(phi) = omega, or None; input must be closed.
+
+    The complex is the tensor product of the one-variable complexes
+    O_i -> O_i dx_i.  On one variable h_i(x_i^(a) dx_i) = x_i^(a+1) for
+    a + 1 < p^{m_i}, h_i is 0 on O_i and on x_i^(p^{m_i}-1) dx_i, and pi_i
+    keeps 1 and that class.  H = sum_i (-1)^{|I cap [0,i)|} pi_0...pi_{i-1}
+    h_i satisfies dH + Hd = 1 - pi, where pi keeps the top cocycles.  On a
+    term x^(a) dx_I only the first i where pi_i kills it can contribute
+    (each factor before it is 1 or a top class, which h kills), and only if
+    i is in I.  So one pass over the terms gives H(omega): a term that is a
+    top cocycle makes omega inexact, and otherwise omega = d(H omega).
+    """
     if omega.d():
         raise ValueError("input form is not closed")
     spec = omega.spec
-    p = spec.p
-    k = omega.degree
-    out = DiffForm.zero(spec, k - 1) if k > 0 else None
-    if k == 0:
+    if omega.degree == 0:
         return None if omega else DiffForm.zero(spec, 0)
-    for w in omega.multidegrees():
-        blocks = _block_elements(spec, w)
-        ek = blocks.get(k, [])
-        ek1 = blocks.get(k - 1, [])
-        comp = omega.component(w)
-        target = np.zeros(len(ek), dtype=np.int64)
-        index = {e: r for r, e in enumerate(ek)}
-        for I, f in comp.terms.items():
-            for mono, c in f.terms.items():
-                target[index[(mono, I)]] = c
-        M = _block_d_matrix(spec, ek1, ek, p)
-        x = gfp.solve_rows(M.T, target, p)
-        if x is None:
-            return None
-        terms: dict = {}
-        for c, (mono, I) in zip(x, ek1):
-            if c:
-                piece = AlgebraElement(spec, {mono: int(c)})
-                terms[I] = terms.get(I, AlgebraElement.zero(spec)) + piece
-        out = out + DiffForm(spec, k - 1, terms)
-    return out
+    out: dict = {}
+    for I, f in omega.terms.items():
+        top = top_monomial(spec, I)
+        for mono, c in f.terms.items():
+            i = next((i for i in range(spec.n) if mono[i] != top[i]), None)
+            if i is None:
+                return None
+            if i not in I:
+                continue
+            pos = I.index(i)
+            J = I[:pos] + I[pos + 1:]
+            key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            g = out.setdefault(J, {})
+            g[key] = g.get(key, 0) + (-1) ** pos * c
+    phi = DiffForm(spec, omega.degree - 1,
+                   {J: AlgebraElement(spec, g) for J, g in out.items()})
+    ensure(phi.d() == omega, "homotopy potential does not integrate the form")
+    return phi
 
 
 def h_class(omega: DiffForm) -> np.ndarray:
     """Coordinates of [omega] in the basis of classes of the top cocycles.
 
-    For a closed k-form the class is read off the coefficients at the
-    one-dimensional top multidegree blocks, ordered by the C(n, k) increasing
-    index tuples I.
+    For a closed k-form omega - pi(omega) is exact (see
+    `is_exact_with_potential`), so the class is read off the coefficients of
+    the top cocycles, ordered by the C(n, k) increasing index tuples I.
     """
     if omega.d():
         raise ValueError("input form is not closed")

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gfp
-from .algebra import AlgebraElement, FlagSpec, _is_pure_power
+from .algebra import AlgebraElement, FlagSpec, _is_pure_power, in_C_k_mono
 from .forms import DiffForm, d_element, decompose_z1
 
 
@@ -188,22 +188,12 @@ def from_derivation(delta: Derivation, j: int = 1) -> Automorphism:
 def _allowed_higher_monos(spec: FlagSpec, i: int, min_degree: int = 2,
                           pure_ok: bool = True) -> array:
     """Indices, in `spec.monomials()` order, of the monomials of degree
-    >= min_degree admissible in the image of x_i."""
-    out = array("I")
-    m_i = spec.heights[i]
-    for j, mono in enumerate(spec.monomials()):
-        deg = sum(mono)
-        if deg < min_degree:
-            continue
-        pw = _is_pure_power(mono, spec.p)
-        if pw is not None:
-            if not pure_ok:
-                continue
-            vi, l = pw
-            if l + m_i - 1 >= spec.heights[vi]:
-                continue
-        out.append(j)
-    return out
+    >= min_degree admissible in the image of x_i: those in C_{m_i - 1},
+    and no pure powers unless pure_ok."""
+    k = spec.heights[i] - 1
+    return array("I", (j for j, mono in enumerate(spec.monomials())
+                       if sum(mono) >= min_degree and in_C_k_mono(mono, k, spec)
+                       and (pure_ok or _is_pure_power(mono, spec.p) is None)))
 
 
 def random_flag_linear(rng, spec: FlagSpec) -> np.ndarray:

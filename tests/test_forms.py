@@ -12,7 +12,6 @@ from charpforms.forms import (
     render_form, top_monomial, twisted_cohomology_dims,
     twisted_d,
 )
-from charpforms.forms import _block_d_matrix, _block_elements
 
 
 def random_form(rng, spec, degree, terms=2):
@@ -144,7 +143,7 @@ def test_evaluate_matches_coordinates():
 @pytest.mark.parametrize("p,heights", [(2, (1,)), (2, (1, 1)), (3, (1,)),
                                        (3, (2,)), (3, (1, 1)), (5, (1, 1)),
                                        (2, (2, 1)), (3, (1, 1, 1)),
-                                       (3, (1, 2)), (5, (2,))])
+                                       (3, (1, 2)), (5, (2,)), (2, (1, 1, 1))])
 def test_cohomology_dims_match_dense_oracle(p, heights):
     s = FlagSpec(p, heights)
     block = cohomology_dims(s)
@@ -184,6 +183,30 @@ def test_exactness_random_roundtrip():
             omega = phi.d()
             psi = is_exact_with_potential(omega)
             assert psi is not None and psi.d() == omega
+
+
+@pytest.mark.parametrize("p,heights", [(2, (2, 1)), (2, (3,)), (2, (1, 1, 2)),
+                                       (3, (2, 1)), (3, (1, 1, 1)), (5, (2,)),
+                                       (5, (1, 2)), (13, (1, 1))])
+def test_homotopy_potential_decides_exactness(p, heights):
+    """omega = d(phi) + sum c_I z_I is exact iff every c_I is 0, and then
+    the potential integrates omega, with constant term 0 in degree 1."""
+    s = FlagSpec(p, heights)
+    rng = random.Random(p * 100 + sum(heights))
+    for k in range(1, s.n + 1):
+        basis = cohomology_basis(s, k)
+        for trial in range(8):
+            omega = random_form(rng, s, k - 1, terms=3).d()
+            cs = [0] * len(basis) if trial % 2 else \
+                [rng.randrange(p) for _ in basis]
+            for c, z in zip(cs, basis):
+                omega = omega + z.scale(c)
+            psi = is_exact_with_potential(omega)
+            assert (psi is None) == any(cs)
+            if psi is not None:
+                assert psi.degree == k - 1 and psi.d() == omega
+                if k == 1:
+                    assert psi.coefficient(()).constant_term() == 0
 
 
 def test_h_class_examples():
@@ -265,22 +288,6 @@ def test_twisted_acyclic_small_vs_dense():
             dense.append(len(basis[k]) - up - down)
         assert dense == twisted_cohomology_dims(s, e)
         assert all(d == 0 for d in dense)
-
-
-def test_twisted_zero_e_matches_untwisted():
-    """At e = 0 the residue blocks add up to the d-blocks of every
-    multidegree w, 0 <= w_i <= p^{m_i}, counted one by one."""
-    for p, heights in [(3, (1, 1)), (2, (2, 1)), (3, (1, 2)), (2, (1, 1, 1))]:
-        s = FlagSpec(p, heights)
-        blockwise = [0] * (s.n + 1)
-        for w in itertools.product(*(range(cap + 1) for cap in s.caps)):
-            blocks = _block_elements(s, w)
-            for k, ek in blocks.items():
-                up = _block_d_matrix(s, ek, blocks.get(k + 1, []), p)
-                down = _block_d_matrix(s, blocks.get(k - 1, []), ek, p)
-                blockwise[k] += len(ek) - gfp.rank(up, p) - gfp.rank(down, p)
-        assert twisted_cohomology_dims(s, [0] * s.n) == blockwise
-        assert cohomology_dims(s) == blockwise
 
 
 def test_render_form():
