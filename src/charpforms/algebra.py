@@ -424,9 +424,11 @@ class AlgebraElement:
 
     def exp_interior(self) -> "AlgebraElement":
         """exp(f) = sum_r f^(r) for f in m^2, whose divided powers all stay in
-        O(F).  Splitting r into base-p digits gives the product over the
-        p-power tower g_k = f^(p^k) of sum_{d<p} g_k^d / d!; its terms with
-        r past the top degree vanish, since f^(r) lies in m^(2r)."""
+        O(F).  Since exp(g + h) = exp(g) exp(h), it is the product over the
+        terms c x^(a) of f of sum_r c^r (x^(a))^(r), with (x^(a))^(r) =
+        `mono_dp_coeff`(a, r) x^(r a).  A series ends at its first
+        coefficient 0 mod p (each coefficient is a multiple of the one
+        before), which comes before r a reaches a cap."""
         if self.constant_term():
             raise ValueError("exp needs a zero constant term")
         if not self.in_m2():
@@ -434,19 +436,18 @@ class AlgebraElement:
             raise OutOfAlgebraError(bad, "exp escapes O(F): pure-power term "
                                     f"{bad} has an escaping divided power")
         p = self.spec.p
-        one = AlgebraElement.one(self.spec)
         caps = self.spec.caps
-        out = one
-        for g in self._p_power_tower(len(_digits(self.spec.top_degree, p))):
-            ensure(all(a < cap for m in g.terms for a, cap in zip(m, caps)),
-                   "interior divided power escaped")
-            factor = power = one
-            for d in range(1, p):
-                power = (power * g).scale(inv_scalar(d, p))   # g^d / d!
-                if not power:
-                    break
-                factor = factor + power
-            out = out * factor
+        out = AlgebraElement.one(self.spec)
+        for mono, c in self.terms.items():
+            series = {self.spec.zero_mono(): 1}
+            r, coeff = 1, mono_dp_coeff(mono, 1, p)
+            while coeff:
+                power = tuple(r * a for a in mono)
+                ensure(all(map(lt, power, caps)), "interior divided power escaped")
+                series[power] = coeff * pow(c, r, p) % p
+                r += 1
+                coeff = mono_dp_coeff(mono, r, p)
+            out = out * AlgebraElement._trusted(self.spec, series)
         return out
 
     def invert_unit(self) -> "AlgebraElement":

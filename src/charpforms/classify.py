@@ -21,7 +21,8 @@ import numpy as np
 
 from . import gfp
 from .algebra import AlgebraElement, FlagSpec, multiplication_matrix
-from .flagbilinear import (FlaggedBilinear, admissible_grids, grid_ok,
+from .flagbilinear import (FlaggedBilinear, admissible_grids,
+                           grid_canonical_matrix, grid_ok,
                            invariants_contact_pair, invariants_form_functional)
 from .forms import DiffForm, e_vector_form, h_class, top_monomial
 from .gfp import ensure
@@ -164,8 +165,7 @@ def _type2_invariants(spec: FlagSpec, e, b) -> Type2Invariant:
     # the functional on V_k/V_{k-1} induced by e (the section basis is made
     # of coordinate vectors, so evaluation is coordinate pairing)
     f = gfp.modp(fac.section @ np.asarray(e, dtype=np.int64), p)
-    aug = invariants_form_functional(fb, k, f)
-    return Type2Invariant(k, aug.special, aug.grid)
+    return Type2Invariant(k, *invariants_form_functional(fb, k, f))
 
 
 def _contact_invariants(cand: ContactCandidate) -> ContactInvariant:
@@ -174,8 +174,7 @@ def _contact_invariants(cand: ContactCandidate) -> ContactInvariant:
     x = constant_covector(cand.form)
     b = constant_bivector(cand.form.d())
     flag = height_spaces(spec.heights)
-    aug = invariants_contact_pair(p, flag, x, b)
-    return ContactInvariant(aug.special, aug.grid)
+    return ContactInvariant(*invariants_contact_pair(p, flag, x, b))
 
 
 # ---------------------------------------------------------------------------
@@ -295,41 +294,14 @@ def heights_from_grid(grid, contact_k: int | None = None) -> tuple:
     return tuple(heights)
 
 
-def _pairing_partition(spec: FlagSpec, grid, exclude: int | None = None):
-    """Split indices into the I_qt sets and pair them; returns the involution
-    as a dict.  Variables of height q fill I_q1, I_q2, ... in index order."""
-    grid = np.asarray(grid, dtype=np.int64)
-    r = grid.shape[0]
-    pool = {q: [i for i in range(spec.n)
-                if spec.heights[i] == q + 1 and i != exclude]
-            for q in range(r)}
-    sets: dict = {}
-    for q in range(r):
-        at = 0
-        for t in range(r):
-            cnt = int(grid[q, t])
-            sets[(q, t)] = pool[q][at:at + cnt]
-            at += cnt
-        ensure(at == len(pool[q]), "grid does not match the height counts")
-    pairing: dict = {}
-    for q in range(r):
-        for t in range(q, r):
-            if q == t:
-                mem = sets[(q, q)]
-                for a in range(0, len(mem), 2):
-                    pairing[mem[a]] = mem[a + 1]
-                    pairing[mem[a + 1]] = mem[a]
-            else:
-                for a, bdx in zip(sets[(q, t)], sets[(t, q)]):
-                    pairing[a] = bdx
-                    pairing[bdx] = a
-    return sets, pairing
-
-
-def _pairing_form(spec: FlagSpec, pairing: dict) -> DiffForm:
-    """sum_{i < tau(i)} x_i dx_{tau(i)} for the involution tau = pairing."""
-    return DiffForm(spec, 1, {(j,): AlgebraElement.generator(spec, i)
-                              for i, j in sorted(pairing.items()) if i < j})
+def _pairing_form(spec: FlagSpec, grid, skip: int | None = None) -> DiffForm:
+    """sum_{i < tau(i)} x_i dx_{tau(i)} on the variables other than skip,
+    where tau pairs the variables that the canonical matrix of the grid
+    (`grid_canonical_matrix`) pairs to 1 above its diagonal."""
+    var = [i for i in range(spec.n) if i != skip]
+    M = grid_canonical_matrix(spec.p, grid.sum(axis=1), grid)
+    return DiffForm(spec, 1, {(var[j],): AlgebraElement.generator(spec, var[i])
+                              for i, j in zip(*np.nonzero(np.triu(M)))})
 
 
 def _type1_form(spec: FlagSpec, a, c) -> SymplecticCandidate:
@@ -387,8 +359,11 @@ def _check_descriptor(desc: Counter, p: int) -> None:
 def normal_shape(inv, p: int):
     """The canonical representative of an invariant datum.
 
-    Type 2: d(exp(x_{i0}) * sum x_i dx_{i'}) encoded as a candidate; contact:
-    dx_{i0} + sum x_i dx_{i'}; type 1: the descriptor's block matrices as
+    Type 2: d(exp(x_{i0}) * eta) encoded as a candidate; contact:
+    dx_{i0} + eta, where eta = sum x_i dx_{i'} (`_pairing_form`) has the
+    grid's `grid_canonical_matrix` as its constant bivector d(eta), on every
+    variable (type 2) or on every variable but x_{i0} (contact); type 1: the
+    descriptor's block matrices as
     sum (a_ij + b_ij x_i^(top) x_j^(top)) dx_i ^ dx_j.  A datum that no form
     has as its invariants raises FormatError.
     """
@@ -405,9 +380,9 @@ def normal_shape(inv, p: int):
         if not 1 <= inv.ell <= grid.shape[0] or grid[inv.k - 1, inv.ell - 1] == 0:
             raise FormatError("l", "inadmissible type-2 invariants: n_kl = 0")
         spec = FlagSpec(p, heights)
-        sets, pairing = _pairing_partition(spec, grid)
-        i0 = sets[(inv.k - 1, inv.ell - 1)][0]
-        eta = _pairing_form(spec, pairing)
+        # the first variable of slot (k, l): rows above k, then columns before l
+        i0 = int(grid[:inv.k - 1].sum() + grid[inv.k - 1, :inv.ell - 1].sum())
+        eta = _pairing_form(spec, grid)
         e = np.zeros(spec.n, dtype=np.int64)
         e[i0] = 1
         body = eta.d() + e_vector_form(spec, e).wedge(eta)
@@ -417,10 +392,9 @@ def normal_shape(inv, p: int):
     if isinstance(inv, ContactInvariant):
         grid, heights = _grid_heights(inv, contact=True)
         spec = FlagSpec(p, heights)
-        i0 = next(i for i in range(spec.n) if spec.heights[i] == inv.k)
-        sets, pairing = _pairing_partition(spec, grid, exclude=i0)
+        i0 = heights.index(inv.k)
         cand = ContactCandidate(DiffForm(spec, 1, {(i0,): AlgebraElement.one(spec)})
-                                + _pairing_form(spec, pairing))
+                                + _pairing_form(spec, grid, skip=i0))
         ensure(is_contact(cand), "contact normal shape is not contact")
         return cand
     raise TypeError("unknown invariant datum")

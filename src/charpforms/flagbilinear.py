@@ -11,6 +11,7 @@ span of the already-fixed slots that must pair to zero.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,23 +319,9 @@ def grid_canonical_matrix(p: int, dims, grid) -> np.ndarray:
 # Augmented invariants: forms paired with a distinguished functional.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AugmentedInvariant:
-    special: int
-    grid: tuple
-
-    @staticmethod
-    def make(special: int, grid: np.ndarray) -> "AugmentedInvariant":
-        return AugmentedInvariant(int(special),
-                                  tuple(tuple(int(x) for x in row) for row in grid))
-
-    def grid_array(self) -> np.ndarray:
-        return np.array(self.grid, dtype=np.int64)
-
-
-def invariants_form_functional(fb: FlaggedBilinear, k: int, f) -> AugmentedInvariant:
-    """Invariants of (b, f) with f a nonzero functional on the
-    k-th flag factor; b must be nondegenerate.
+def invariants_form_functional(fb: FlaggedBilinear, k: int, f) -> tuple:
+    """Invariants (l, grid) of (b, f) with f a nonzero functional on the
+    k-th flag factor, the grid as int tuples; b must be nondegenerate.
 
     The special index is l = 1 + max{t >= 0 : f does not vanish on the image
     of V_k ∩ V_t^⊥ in the factor}.
@@ -356,11 +343,12 @@ def invariants_form_functional(fb: FlaggedBilinear, k: int, f) -> AugmentedInvar
     ell = best + 1
     grid = _grid(W, fb.r)
     ensure(grid[k - 1, ell - 1] != 0, "augmented invariant needs n_kl != 0")
-    return AugmentedInvariant.make(ell, grid)
+    return ell, tuple(map(tuple, grid.tolist()))
 
 
-def invariants_contact_pair(p: int, flag: tuple, f, b) -> AugmentedInvariant:
-    """Invariants of a contact-type pair (f, b) with V = V^⊥ ⊕ Ker f.
+def invariants_contact_pair(p: int, flag: tuple, f, b) -> tuple:
+    """Invariants (k, grid) of a contact-type pair (f, b) with
+    V = V^⊥ ⊕ Ker f, the grid as int tuples.
 
     f is a functional on V (a vector), b antisymmetric on V; the grid is the
     Cor-4.4 grid of b restricted to Q = Ker f with the induced flag Q ∩ V_q.
@@ -387,7 +375,7 @@ def invariants_contact_pair(p: int, flag: tuple, f, b) -> AugmentedInvariant:
     bq = modp(Q @ b @ Q.T, p)
     sub_flag = tuple(gfp.preimage_rows(Q.T, S, p) for S in flag)
     fbq = FlaggedBilinear(p, sub_flag, bq)
-    return AugmentedInvariant.make(k, invariants_nqt(fbq))
+    return k, tuple(map(tuple, invariants_nqt(fbq).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +391,13 @@ def all_antisymmetric(p: int, d: int):
             M[i, j] = v
             M[j, i] = (-v) % p
         yield M
+
+
+def _check_form_count(p: int, d: int) -> None:
+    """Refuse, before building any, to enumerate the p^C(d,2) forms of
+    `all_antisymmetric` when twice their number passes 2^24."""
+    if 2 * p ** min(math.comb(d, 2), 24) > 2 ** 24:
+        raise ValueError("form enumeration exceeds the size guard")
 
 
 def flag_stabilizer(p: int, dims):
@@ -427,10 +422,9 @@ def brute_force_orbit_partition(p: int, dims):
 
     Returns a list of orbits, each a set of byte-keys of the form matrices.
     """
-    forms = list(all_antisymmetric(p, dims[-1]))
-    if len(forms) * 2 > 2 ** 24:
-        raise ValueError("form enumeration exceeds the size guard")
+    _check_form_count(p, dims[-1])
     group = list(flag_stabilizer(p, dims))
+    forms = list(all_antisymmetric(p, dims[-1]))
     key = lambda M: M.tobytes()
     unseen = {key(M): M for M in forms}
     orbits = []
@@ -448,6 +442,7 @@ def brute_force_orbit_partition(p: int, dims):
 
 def grid_fibers(p: int, dims):
     """Group all antisymmetric forms by their invariant grid."""
+    _check_form_count(p, dims[-1])
     flag = coordinate_flag(dims)
     fibers: dict = {}
     for M in all_antisymmetric(p, dims[-1]):

@@ -562,11 +562,13 @@ def make_flag(ambient_dim: int, direction: str, spaces, p: int) -> FlagChain:
 
 
 # ---------------------------------------------------------------------------
-# Pairings, orthogonals and flag transfer.  Through a pairing b, a flag F is
-# transferred into a factor Φ_k(target) by reading its b-orthogonal flag in
-# Φ_k: restrict_flag(orthogonal_flag(b, F, p), target, k), where the
-# orthogonal flag does not depend on k.  Through an isomorphism, each space
-# of F is read straight into Φ_k by one elimination (transfer_flag_via_iso).
+# Pairings, orthogonals and flag transfer.  A flag F is carried into a factor
+# Φ_k(target) by one reader, read_flag: each space S of F, moved by an
+# isomorphism mu if one is given, is read in Φ_k by one elimination.  Through
+# a pairing b, F is transferred as read_flag(orthogonal_flag(b, F, p),
+# target, k), where the orthogonal flag does not depend on k; through mu, as
+# read_flag(F, target, k, mu) (F on mu's domain) or with inverse(mu) (F on
+# mu's codomain).
 # ---------------------------------------------------------------------------
 
 def orthogonal_subspace(b, M, p: int) -> np.ndarray:
@@ -589,46 +591,21 @@ def orthogonal_flag(b, F: FlagChain, p: int) -> FlagChain:
     return FlagChain(direction, spaces + (_top_space(np.shape(b)[0], direction),), p)
 
 
-def _read_flag(F: FlagChain, fac: Factor, k: int, read) -> FlagChain:
-    """The flag of the spaces read(S), S one of S_0, ..., S_L of F, in the
-    factor fac (label k of its flag), closed by the factor's E; the
-    direction is kept."""
+def read_flag(F: FlagChain, target: FlagChain, k: int, mu=None) -> FlagChain:
+    """The flag mu F (F itself when mu is None) read in the factor
+    Φ_k(target), closed by the factor's E; the direction is kept.  Each
+    space S of F becomes the image of S mu^T in Φ_k (`Factor.image_of`)."""
+    fac = target.factor(k)
     if fac.dim == 0:
         raise ValueError(f"label {k} names an empty factor")
-    spaces = tuple(map(read, F.spaces[:-1])) + (_top_space(fac.dim, F.direction),)
+    spaces = F.spaces[:-1]
+    if mu is not None:
+        mu_t = modp(mu, F.p).T
+        spaces = [S @ mu_t for S in spaces]
+    spaces = tuple(map(fac.image_of, spaces)) + (_top_space(fac.dim, F.direction),)
     flag = FlagChain(F.direction, spaces, F.p)
     flag.check()
     return flag
-
-
-def restrict_flag(G: FlagChain, target: FlagChain, k: int) -> FlagChain:
-    """The flag G read in the factor Φ_k(target): each space of G becomes its
-    image in Φ_k; the direction is kept."""
-    fac = target.factor(k)
-    return _read_flag(G, fac, k, fac.image_of)
-
-
-def transfer_flag_via_iso(mu, F: FlagChain, target: FlagChain, k: int, p: int,
-                          mode: str = "preimage") -> FlagChain:
-    """Transfer F into Φ_k(target) through an isomorphism mu.
-
-    mode="preimage" builds (mu^{-1} F)_{Φ_k target} (F lives on mu's
-    codomain); mode="image" builds (mu F)_{Φ_k target} (F on mu's domain).
-    The direction is preserved.  With v = x @ sup running over sup and P the
-    factor's projection, the preimage of S reads as {x sup P^T : x sup mu^T
-    in S}, Zassenhaus on (sup mu^T, sup P^T, S), and the image of S as
-    {x sup P^T : x sup in S mu^T}, on (sup, sup P^T, S mu^T): one
-    elimination per space, each the rref that reading the moved space in
-    Φ_k gives.
-    """
-    fac = target.factor(k)
-    mu_t = modp(mu, p).T
-    if mode == "preimage":
-        left = fac.sup @ mu_t
-        return _read_flag(F, fac, k,
-                          lambda S: _zassenhaus(left, fac._sup_coords, S, p))
-    return _read_flag(F, fac, k,
-                      lambda S: _zassenhaus(fac.sup, fac._sup_coords, S @ mu_t, p))
 
 
 def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,

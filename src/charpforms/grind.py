@@ -29,8 +29,7 @@ import numpy as np
 from . import gfp
 from .gfp import (Factor, FlagChain, companion, empty_space, ensure, eye,
                   full_space, is_invertible, make_flag, modp,
-                  orthogonal_flag, pdeg, ppow, restrict_flag,
-                  transfer_flag_via_iso, zeros)
+                  orthogonal_flag, pdeg, ppow, read_flag, zeros)
 
 
 @dataclass
@@ -171,7 +170,7 @@ def _split(cells: dict, pairing: dict, direction: str, p: int):
                 S0 = empty_space(fac.dim) if direction == "inc" else full_space(fac.dim)
                 K = make_flag(fac.dim, direction, [S0], p)
             else:
-                K = restrict_flag(O, cell.flag, q)
+                K = read_flag(O, cell.flag, q)
             alpha = cell.alpha if cell.alpha is not None else q + 1
             piece_of[(x, q)] = len(pieces)
             pieces[len(pieces)] = Piece(alpha, K, x, q, fac, O)
@@ -207,19 +206,19 @@ def _corrected_pair_lift(piece: Piece, t: int, p):
     return gfp.component_in(S, window.sub, naive, p)
 
 
-def _refine(pieces: dict, links: dict, mode: str, p: int):
+def _refine(pieces: dict, links: dict):
     """Split every piece by its transferred flag (the refine step, for one
     side).  links[x] = (matrix, flag): each new cell carries the matched
-    piece's flag moved through the matrix onto piece x (`mode` as in
-    `transfer_flag_via_iso`) and read in its factor.  Partners are left to
-    `_pair`.  Returns (cells, cell_of)."""
+    piece's flag moved by the matrix onto piece x and read in its factor
+    (`read_flag`).  Partners are left to `_pair`.  Returns (cells,
+    cell_of)."""
     cells: dict = {}
     cell_of: dict = {}
     for x in sorted(pieces):
         piece = pieces[x]
         N, other = links[x]
         for t in piece.flag.labels:
-            G = transfer_flag_via_iso(N, other, piece.flag, t, p, mode)
+            G = read_flag(other, piece.flag, t, N)
             cell_of[(x, t)] = len(cells)
             cells[len(cells)] = Cell(G.ambient_dim, piece.alpha, G, None)
     return cells, cell_of
@@ -264,11 +263,10 @@ def grind_B_to_A(B: BState) -> AState:
     A = B.a_state
     p = A.p
     v_cells, vid_of = _refine(
-        B.r, {rid: (N, B.s[sid].flag) for rid, (sid, N) in B.mu.items()},
-        "preimage", p)
+        B.r, {rid: (gfp.inverse(N, p), B.s[sid].flag)
+              for rid, (sid, N) in B.mu.items()})
     w_cells, wid_of = _refine(
-        B.s, {sid: (N, B.r[rid].flag) for rid, (sid, N) in B.mu.items()},
-        "image", p)
+        B.s, {sid: (N, B.r[rid].flag) for rid, (sid, N) in B.mu.items()})
     b_new = _pair(v_cells, vid_of, B.r, B.rid_of, A.v, A.b, p)
     c_new = _pair(w_cells, wid_of, B.s, B.sid_of, A.w, A.c, p)
     # nu: factor l of v-cell (rid, t) -> factor t of w-cell (mu(rid), l)

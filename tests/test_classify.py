@@ -16,6 +16,7 @@ from charpforms.classify import (
     contact_split, equivalent, invariants, is_contact, is_symplectic,
     normal_shape, random_form, recognize, same_Gprime_orbit,
 )
+from charpforms.flagbilinear import grid_canonical_matrix
 from charpforms.forms import DiffForm, e_vector_form
 from charpforms.grind import (Indecomposable, canonical_pair_label,
                               descriptor_equal)
@@ -206,17 +207,28 @@ def test_normal_shape_round_trips_quintic_cycle():
 
 
 def test_normal_shape_round_trips_catalog():
+    """Every admissible type-2 and contact datum over a few heights: its
+    normal shape has it as invariants, and the shape's constant bivector
+    is the canonical matrix of its grid (over every variable but the
+    distinguished one, for contact)."""
     for p in (3, 5):
-        for heights in [(1, 1), (1, 2), (2, 2)]:
+        for heights in [(1, 1), (1, 2), (2, 2), (1, 1, 2, 2), (1, 2, 3, 3)]:
             for inv in admissible_type2_invariants(heights, p):
                 cand = normal_shape(inv, p)
                 assert is_symplectic(cand) == "type2"
                 assert invariants(cand) == inv
-        for heights in [(1,), (1, 1, 1), (1, 2, 2)]:
+                grid = np.array(inv.grid)
+                assert np.array_equal(constant_bivector(cand.body),
+                                      grid_canonical_matrix(p, grid.sum(axis=1), grid))
+        for heights in [(1,), (1, 1, 1), (1, 2, 2), (1, 1, 1, 2, 2), (1, 2, 2, 3, 3)]:
             for inv in admissible_contact_invariants(heights, p):
                 cand = normal_shape(inv, p)
                 assert is_contact(cand)
                 assert invariants(cand) == inv
+                grid = np.array(inv.grid)
+                i0 = cand.spec.heights.index(inv.k)
+                b = np.delete(np.delete(constant_bivector(cand.form.d()), i0, 0), i0, 1)
+                assert np.array_equal(b, grid_canonical_matrix(p, grid.sum(axis=1), grid))
 
 
 # Invariant data that no form has, with the field its FormatError names and

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charpforms import cli
+from charpforms import cli, flagbilinear
 from charpforms.algebra import AlgebraElement, FlagSpec
 from charpforms.classify import (SymplecticCandidate, invariants,
                                  normal_shape, random_form)
@@ -22,7 +22,7 @@ from charpforms.jsonio import (FormatError, automorphism_from_json,
                                automorphism_to_json, form_from_json,
                                form_to_json, invariants_from_json,
                                invariants_to_json)
-from tests.test_classify import _small_invariant_data
+from tests.test_classify import _rarely, _small_invariant_data
 
 
 def write_form(tmp_path, cand, name="f.json"):
@@ -449,6 +449,24 @@ def test_cli_bruteforce_repeated_dims(capsys):
     assert json.loads(capsys.readouterr().out)["fibers_match_orbits"]
 
 
+@pytest.mark.parametrize("dims", ["8", "4,8", "1,2,3,4,5,6,7,8"])
+def test_cli_bruteforce_size_guard_before_enumerating(monkeypatch, capsys, dims):
+    """A flag too big to enumerate exits 2 naming the size guard without
+    building a single form; the guard used to run only after every form
+    was in memory (a MemoryError under a 600 MB cap at --dims 8)."""
+    def no_forms(p, d):
+        raise AssertionError("all_antisymmetric was iterated")
+        yield
+
+    monkeypatch.setattr(flagbilinear, "all_antisymmetric", no_forms)
+    assert main(["bruteforce-flagforms", "--p", "2", "--dims", dims]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: form enumeration exceeds the size guard\n"
+    with pytest.raises(ValueError, match="size guard"):
+        flagbilinear.grid_fibers(2, [int(d) for d in dims.split(",")])
+
+
 @pytest.mark.parametrize("argv, field", [
     (["random", "--kind", "type1", "--p", "3", "--heights", "0,1"], "heights"),
     (["cohomology", "--p", "3", "--heights", "0,1", "--degree", "1"], "heights"),
@@ -688,3 +706,99 @@ def test_fuzz_invariants_from_json_into_normal_shape(datum, data):
     except FormatError:
         return
     assert invariants(cand) == read
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the option values of the verbs that take no form file.  Primes,
+# heights and dims stay small, so that every valid draw answers in well
+# under a second; argparse's own rejection of a non-integer exits 2 too.
+# ---------------------------------------------------------------------------
+
+_INT_JUNK = st.sampled_from(["", "x", "1.5", "2.0", "1e1", "0x3", " 3", "+3",
+                             "٣", "True"])
+
+
+@st.composite
+def _int_text(draw, lo: int, hi: int, bad=st.integers(-2, 0)):
+    """An integer option value in lo..hi; rarely one from bad, or junk."""
+    if _rarely(draw):
+        return str(draw(bad)) if draw(st.booleans()) else draw(_INT_JUNK)
+    return str(draw(st.integers(lo, hi)))
+
+
+@st.composite
+def _list_text(draw, lo: int, hi: int, size: int):
+    """A comma-separated option value of such integers, rarely empty."""
+    items = draw(st.lists(_int_text(lo, hi), min_size=0 if _rarely(draw) else 1,
+                          max_size=size))
+    return ",".join(items)
+
+
+_PRIME = _int_text(2, 5, bad=st.sampled_from([-1, 0, 1, 4, 6, 13]))
+
+
+def _option_exit(argv) -> int:
+    try:
+        return _verb_exit(argv)
+    except SystemExit as ex:                # argparse rejected a value
+        assert ex.code == 2, argv
+        return 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["type1", "type2", "contact"]), _PRIME,
+       _list_text(1, 2, 3), st.one_of(st.none(), _int_text(-5, 10 ** 20)))
+def test_fuzz_random_options(kind, p, heights, seed):
+    argv = ["random", "--kind", kind, "--p", p, "--heights", heights]
+    _option_exit(argv + ([] if seed is None else ["--seed", seed]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIME, _list_text(1, 2, 4), _int_text(0, 4, bad=st.sampled_from([-1, 5])))
+def test_fuzz_cohomology_options(p, heights, degree):
+    _option_exit(["cohomology", "--p", p, "--heights", heights,
+                  "--degree", degree])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_text(2, 3, bad=st.sampled_from([-1, 0, 1, 4])), _list_text(0, 3, 3))
+def test_fuzz_bruteforce_options(p, dims):
+    _option_exit(["bruteforce-flagforms", "--p", p, "--dims", dims])
+
+
+@st.composite
+def _flag_matrix_record(draw):
+    """A flag-invariants record over F_p, p <= 5 and dim <= 3: mostly an
+    alternating matrix on a nondecreasing flag, rarely a field missing or
+    junk, an unsorted flag, a ragged or misshapen matrix or a matrix that
+    is not alternating."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    dims = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    if _rarely(draw):
+        dims = draw(st.permutations(dims))
+    n = dims[-1] + (draw(st.sampled_from([-1, 1])) if _rarely(draw) else 0)
+    M = [[0] * max(n, 0) for _ in range(max(n, 0))]
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i][j] = draw(st.integers(0, p - 1))
+            M[j][i] = -M[i][j] % p
+    if M and _rarely(draw):
+        M[0][-1] += 1
+    if M and _rarely(draw):
+        M[-1] = M[-1][:-1]
+    record = {"p": p, "flag_dims": list(dims), "matrix": M}
+    if _rarely(draw):
+        key = draw(st.sampled_from(sorted(record)))
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(_SMALL_JUNK)
+    return record
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flag_matrix_record())
+def test_fuzz_flag_invariants_file(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_text(json.dumps(record))
+    _option_exit(["flag-invariants", str(path)])

@@ -183,12 +183,12 @@ def test_functional_invariants_examples():
     # f nonzero on the full factor image: l = 1
     b = np.array([[0, 1], [2, 0]])
     fb = flagged_from_dims(p, [2], b)
-    inv = invariants_form_functional(fb, 1, [1, 0])
-    assert inv.special == 1
+    ell, _ = invariants_form_functional(fb, 1, [1, 0])
+    assert ell == 1
     # heights-(1,1) running example: l = m_{i0'} = 1, n_11 = 2
     fb2 = flagged_from_dims(p, [2], b)
     inv2 = invariants_form_functional(fb2, 1, [0, 1])
-    assert inv2.special == 1 and inv2.grid_array().tolist() == [[2]]
+    assert inv2 == (1, ((2,),))
 
 
 def test_functional_invariants_conjugation():
@@ -234,14 +234,14 @@ def test_contact_pair_examples():
     # V one-dimensional, b = 0, f != 0: k = min q with f(V_q) != 0
     flag = coordinate_flag([1])
     inv = invariants_contact_pair(p, flag, [2], gfp.zeros(1, 1))
-    assert inv.special == 1 and inv.grid_array().tolist() == [[0]]
+    assert inv == (1, ((0,),))
     # heights (1,1,1) contact example: k = 1, n_11 = 2
     flag3 = coordinate_flag([3])
     b = gfp.zeros(3, 3)
     b[0, 1] = 1
     b[1, 0] = 2
     inv2 = invariants_contact_pair(p, flag3, [0, 0, 1], b)
-    assert inv2.special == 1 and inv2.grid_array().tolist() == [[2]]
+    assert inv2 == (1, ((2,),))
     # scaling f changes nothing
     inv3 = invariants_contact_pair(p, flag3, [0, 0, 2], b)
     assert inv2 == inv3

@@ -12,9 +12,8 @@ from charpforms.gfp import (
     companion, elementary_divisors, empty_space, eye, full_space,
     induced_iso, inverse, irreducibles, make_factor, make_flag, modp,
     nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
-    preimage_rows, quotient_section, rank, restrict_flag, row_space, rref,
+    preimage_rows, quotient_section, rank, read_flag, row_space, rref,
     solve_rows, subspace_intersection, subspace_sum,
-    transfer_flag_via_iso,
 )
 
 
@@ -220,7 +219,7 @@ def test_transfer_via_pairing_zero_and_nondeg():
     F = make_flag(2, "inc", coordinate_flag([1, 2]), p)
     # zero pairing: constant flag equal to the whole factor, radical in the
     # top factor
-    T = restrict_flag(orthogonal_flag(gfp.zeros(2, 2), F, p), target, 0)
+    T = read_flag(orthogonal_flag(gfp.zeros(2, 2), F, p), target, 0)
     assert T.direction == "dec"
     assert all(S.shape[0] == T.ambient_dim for S in T.spaces[:-1])
     assert T.spaces[-2].shape[0] == T.ambient_dim
@@ -228,7 +227,7 @@ def test_transfer_via_pairing_zero_and_nondeg():
     b = np.array([[0, 1], [2, 0]])
     F1 = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
     big = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
-    T1 = restrict_flag(orthogonal_flag(b, F1, p), big, 0)
+    T1 = read_flag(orthogonal_flag(b, F1, p), big, 0)
     assert T1.spaces[0].shape[0] == 2 and T1.spaces[1].shape[0] == 0
     assert T1.spaces[-2].shape[0] == 0
 
@@ -238,17 +237,19 @@ def test_transfer_via_iso_permutation():
     mu = np.array([[0, 1], [1, 0]])  # swap coordinates
     F = make_flag(2, "inc", [empty_space(2), row_space(np.array([[1, 0]]), p), full_space(2)], p)
     target = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
-    T = transfer_flag_via_iso(mu, F, target, 0, p, mode="preimage")
+    T = read_flag(F, target, 0, inverse(mu, p))
     # preimage of span{e1} under the swap is span{e2}
     assert np.array_equal(T.spaces[1], row_space(np.array([[0, 1]]), p))
+    # and so is its image, the swap being its own inverse
+    assert np.array_equal(read_flag(F, target, 0, mu).spaces[1], T.spaces[1])
 
 
 def test_induced_iso_identity_and_scalar():
     p = 5
     V = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
     for mu in (eye(2), modp(3 * eye(2), p)):
-        src = transfer_flag_via_iso(mu, V, V, 0, p, mode="preimage")
-        dst = transfer_flag_via_iso(mu, V, V, 0, p, mode="image")
+        src = read_flag(V, V, 0, inverse(mu, p))
+        dst = read_flag(V, V, 0, mu)
         M = induced_iso(mu, V, V, src, dst, 0, 0, p)
         assert np.array_equal(M, mu)
 
@@ -337,21 +338,23 @@ def test_block_elimination_ops_match_compositions(p):
 
 @pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
 def test_transfer_via_iso_matches_move_then_restrict(p):
-    """Each space read straight into Φ_k(target) equals the moved space
-    (preimage or image under mu) read in Φ_k, for both directions of F and
-    every nonzero factor of the target."""
+    """read_flag(F, target, k, mu) equals F moved by mu, then read in
+    Φ_k(target) space by space, and read_flag with inverse(mu) equals the
+    preimages under mu read there, for both directions of F and every
+    nonzero factor of the target; without mu it reads F unmoved."""
     rng = random.Random(200 + p)
     for n in range(1, 6):
         for _ in range(10):
             mu = gfp.random_invertible(rng, n, p)
             target = _random_flag(rng, n, rng.choice(["inc", "dec"]), p)
             F = _random_flag(rng, n, rng.choice(["inc", "dec"]), p)
-            moves = {"preimage": lambda S: _preimage_oracle(mu, S, p),
-                     "image": lambda S: row_space(modp(S @ mu.T, p), p)}
-            for mode, move in moves.items():
+            moves = [(inverse(mu, p), lambda S: _preimage_oracle(mu, S, p)),
+                     (mu, lambda S: row_space(modp(S @ mu.T, p), p)),
+                     (None, lambda S: S)]
+            for by, move in moves:
                 for k in target.labels:
                     fac = target.factor(k)
-                    T = transfer_flag_via_iso(mu, F, target, k, p, mode=mode)
+                    T = read_flag(F, target, k, by)
                     assert T.direction == F.direction and T.ambient_dim == fac.dim
                     want = [_image_oracle(fac, move(S), p) for S in F.spaces]
                     got = T.spaces
@@ -362,10 +365,10 @@ def test_transfer_via_iso_matches_move_then_restrict(p):
 @pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
 def test_reading_E_into_a_factor_gives_E(p):
     """E (everything for an increasing flag, 0 for a decreasing one) read
-    into a factor, by restrict_flag and by both modes of
-    transfer_flag_via_iso, is E of the factor: what lets the flag
-    constructors append E instead of reading it.  E is read here as the
-    space below the top of a flag that repeats it."""
+    into a factor by read_flag, unmoved or moved by mu or inverse(mu), is
+    E of the factor: what lets the flag constructors append E instead of
+    reading it.  E is read here as the space below the top of a flag that
+    repeats it."""
     rng = random.Random(300 + p)
     for n in range(1, 6):
         for _ in range(5):
@@ -378,10 +381,8 @@ def test_reading_E_into_a_factor_gives_E(p):
                 for k in target.labels:
                     d = target.factor(k).dim
                     E = full_space(d) if direction == "inc" else empty_space(d)
-                    reads = [restrict_flag(G, target, k)] + [
-                        transfer_flag_via_iso(mu, G, target, k, p, mode=mode)
-                        for mode in ("preimage", "image")]
-                    for T in reads:
+                    for by in (None, mu, inverse(mu, p)):
+                        T = read_flag(G, target, k, by)
                         assert np.array_equal(T.spaces[-2], E)
                         assert np.array_equal(T.spaces[-1], E)
 

@@ -1,10 +1,11 @@
 """No module of the package, its tests or its demos binds a top-level import
 that it never uses (a pyflakes-style check with the standard library's
 `ast`).  `__init__.py` files are skipped, since they import to re-export,
-and so are `from __future__` imports.  No top-level private function or
-class of the package is dead code: each is read somewhere in `src/`
+and so are `from __future__` imports.  No top-level function or class of
+the package is dead code: a private one is read somewhere in `src/`
 outside its own definition, so a helper whose only callers are tests
-fails."""
+fails; a public one is read somewhere in `src/`, `tests/`, `demos/` or
+`perfbench/`, so importing it is not enough."""
 import ast
 from pathlib import Path
 
@@ -14,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(path for top in ("src", "tests", "demos")
                for path in (ROOT / top).rglob("*.py")
                if path.name != "__init__.py")
-SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,17 +49,20 @@ def _reads(node) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def unread_private_defs(sources: dict) -> list[str]:
-    """`module:name` of each top-level private function or class of
-    sources (a map from module name to source) that no module reads
-    outside that definition."""
-    tops = [(mod, node, _reads(node)) for mod, src in sources.items()
-            for node in ast.parse(src).body]
-    return [f"{mod}:{node.name}" for mod, node, _ in tops
+def _tops(sources: dict) -> list:
+    return [(mod, node) for mod, src in sources.items() for node in ast.parse(src).body]
+
+
+def unread_defs(sources: dict, readers: dict, private: bool) -> list[str]:
+    """`module:name` of each top-level private (or public) function or
+    class of sources that no top-level statement of readers reads outside
+    that definition; both map module names to source text."""
+    reads = [(mod, node.lineno, _reads(node)) for mod, node in _tops(readers)]
+    return [f"{mod}:{node.name}" for mod, node in _tops(sources)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and not any(node.name in reads
-                        for _, other, reads in tops if other is not node)]
+            and node.name.startswith("_") == private and not node.name.startswith("__")
+            and not any(node.name in names for other, line, names in reads
+                        if (other, line) != (mod, node.lineno))]
 
 
 def test_scan_finds_an_unread_private_def():
@@ -67,9 +70,32 @@ def test_scan_finds_an_unread_private_def():
                     "def _self_only(n):\n    return _self_only(n - 1)\n"
                     "class _Dead:\n    pass\n",
                "b": "from a import _used\nX = a._used() + _used()\n"}
-    assert unread_private_defs(sources) == ["a:_self_only", "a:_Dead"]
+    assert unread_defs(sources, sources, private=True) == ["a:_self_only", "a:_Dead"]
+
+
+def test_scan_finds_an_unread_public_def():
+    sources = {"a": "def used():\n    return 1\n"
+                    "def self_only(n):\n    return self_only(n - 1)\n"
+                    "class Dead:\n    pass\n"
+                    "def tested():\n    pass\n"}
+    readers = dict(sources, t="from a import used, tested, Dead\n"
+                              "def test():\n    assert tested() is used()\n")
+    assert unread_defs(sources, readers, private=False) == ["a:self_only", "a:Dead"]
+
+
+def _texts(tops) -> dict:
+    return {str(path.relative_to(ROOT)): path.read_text()
+            for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
 
 
 def test_no_unread_private_defs():
-    assert unread_private_defs({str(path.relative_to(ROOT)): path.read_text()
-                                for path in SRC}) == []
+    """Each private helper of src/ is read in src/ itself."""
+    src = _texts(["src"])
+    assert unread_defs(src, src, private=True) == []
+
+
+def test_no_unread_public_defs():
+    """Each public function or class of src/ is read somewhere in src/,
+    tests/, demos/ or perfbench/."""
+    readers = _texts(["src", "tests", "demos", "perfbench"])
+    assert unread_defs(_texts(["src"]), readers, private=False) == []
