@@ -25,7 +25,7 @@ from .flagbilinear import (FlaggedBilinear, admissible_grids,
                            grid_canonical_matrix, grid_ok,
                            invariants_contact_pair, invariants_form_functional)
 from .forms import DiffForm, e_vector_form, h_class, top_monomial
-from .gfp import ensure
+from .gfp import ensure, inv_scalar
 from .grind import (canonical_pair_label, classify_type1_matrices,
                     descriptor_equal, height_spaces,
                     synthesize_descriptor_matrices)
@@ -198,8 +198,8 @@ def is_contact(cand: ContactCandidate, domega: DiffForm | None = None) -> bool:
 
 
 def contact_split(cand: ContactCandidate):
-    """F_p-bases (canonical rref) of P = ker(delta -> delta . d omega) and
-    Q = ker(delta -> omega(delta)) inside W(F).
+    """F_p-bases (canonical rref, int64) of P = ker(delta -> delta . d omega)
+    and Q = ker(delta -> omega(delta)) inside W(F).
 
     Write d omega = sum_{j<k} g_jk dx_j ^ dx_k and let A be the skew n x n
     matrix over O with A_jk = g_jk; delta = sum a_j d_j contracts to
@@ -210,21 +210,81 @@ def contact_split(cand: ContactCandidate):
     a unit (n-1)-minor.  Over the local ring O such an A is equivalent to
     diag(1, ..., 1, a) with a = 0 (det A = 0 for odd n), so ker A is free
     of rank 1; it contains the unimodular R, hence P = O R, spanned over F_p
-    by the x^(m) R.  Q is the kernel of [M(f_0) | ... | M(f_{n-1})].
+    by the x^(m) R.  Q is the kernel of [M(f_0) | ... | M(f_{n-1})], where
+    M = `multiplication_matrix` and omega = sum f_j dx_j.
+
+    Both bases are read off in closed form when a coefficient is a unit
+    (multiplication matrices commute, and M(g / u) = M(u)^-1 M(g)):
+    if R_0 is a unit, P = O (R / R_0) has the rref
+    [I | M(R_1/R_0)^T | ... | M(R_{n-1}/R_0)^T]; if f_{n-1} is a unit, the
+    kernel is a_{n-1} = -sum_{i<n-1} M(f_i/f_{n-1}) a_i, whose rref is
+    [I | B] with block row i of B equal to -M(f_i/f_{n-1})^T.  Otherwise
+    the space is eliminated from the matrices of `_contact_matrices`
+    (`gfp.row_space` for P, `gfp.nullspace` for Q).
     """
     domega = cand.form.d()
     if not is_contact(cand, domega):
         raise ValueError("not a contact form")
-    p = cand.spec.p
+    spec = cand.spec
+    p, n, dimO = spec.p, spec.n, spec.dim
     reeb = _reeb_vector(domega)
     ensure(not domega.contract(reeb), "d omega . R != 0")
-    span_P, rows_Q = _contact_matrices(cand, reeb)
-    P = gfp.row_space(span_P, p)
-    Q = gfp.nullspace(rows_Q, p)
-    ensure(P.shape[0] == cand.spec.dim, "P is not free of rank 1")
-    ensure(P.shape[0] + Q.shape[0] == span_P.shape[1],
-           "contact split dimensions broken")
+    f = [cand.form.terms.get((j,), AlgebraElement.zero(spec)) for j in range(n)]
+    r0_unit = reeb[0].constant_term() != 0
+    f_last_unit = f[-1].constant_term() != 0
+    if not (r0_unit and f_last_unit):
+        span_P, rows_Q = _contact_matrices(cand, reeb)
+    if r0_unit:
+        P = np.zeros((dimO, n * dimO), dtype=np.int64)
+        np.fill_diagonal(P, 1)
+        for j, q in enumerate(_quotients(reeb[1:], reeb[0]), start=1):
+            P[:, j * dimO:(j + 1) * dimO] = multiplication_matrix(q).T
+    else:
+        P = gfp.row_space(span_P, p)
+    if f_last_unit:
+        k = (n - 1) * dimO
+        Q = np.zeros((k, n * dimO), dtype=np.int64)
+        np.fill_diagonal(Q, 1)
+        for i, q in enumerate(_quotients(f[:-1], f[-1])):
+            Q[i * dimO:(i + 1) * dimO, k:] = -multiplication_matrix(q).T % p
+    else:
+        Q = gfp.nullspace(rows_Q, p)
+    ensure(P.shape[0] == dimO, "P is not free of rank 1")
+    ensure(P.shape[0] + Q.shape[0] == n * dimO, "contact split dimensions broken")
     return P, Q
+
+
+def _quotients(gs: list, u: AlgebraElement) -> list:
+    """The g / u for g in gs and a unit u, by solving M(u) x = g.
+
+    In the `spec.monomials()` order the index of x^(a+b) is that of x^(a)
+    plus that of x^(b), so M(u) = c (1 + N) is lower triangular with the
+    constant term c on its diagonal and N raising the degree, so
+    x = c^-1 sum_k (-N)^k g needs at most top_degree matrix products, all
+    right-hand sides at once.
+    """
+    spec = u.spec
+    p = spec.p
+    cinv = inv_scalar(u.constant_term(), p)
+    N = multiplication_matrix(u) * cinv % p
+    np.fill_diagonal(N, 0)
+    term = np.zeros((spec.dim, len(gs)), dtype=np.int64)
+    for col, g in enumerate(gs):
+        if g.terms:
+            idx = np.ravel_multi_index(np.array(list(g.terms)).T, spec.caps)
+            term[idx, col] = list(g.terms.values())
+    term = term * cinv % p
+    x = term.copy()
+    for _ in range(spec.top_degree):
+        term = -(N @ term) % p
+        if not term.any():
+            break
+        x += term
+    x %= p
+    monos = np.indices(spec.caps).reshape(spec.n, spec.dim).T.tolist()
+    return [AlgebraElement(spec, {tuple(monos[i]): int(c[i])
+                                  for i in np.flatnonzero(c)})
+            for c in x.T]
 
 
 def _reeb_vector(domega: DiffForm) -> list:

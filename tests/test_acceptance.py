@@ -15,7 +15,7 @@ import pytest
 from charpforms import gfp
 from charpforms.algebra import (AlgebraElement, FlagSpec, OutOfAlgebraError,
                                 binom_lucas, random_element)
-from charpforms.classify import (SymplecticCandidate,
+from charpforms.classify import (SymplecticCandidate, _reeb_vector,
                                  admissible_contact_invariants,
                                  admissible_type2_invariants,
                                  apply_to_candidate, constant_bivector,
@@ -357,6 +357,37 @@ def test_criterion_9_contact_split():
             span_rows.append(vec)
         span = gfp.row_space(np.array(span_rows, dtype=np.int64), 3)
         assert np.array_equal(perp, span)
+
+
+def test_contact_split_p13_in_closed_form():
+    """The split of one contact form at p = 13, heights (1,1,1) (dim W =
+    6,591), where R_0 and f_2 are units: sampled rows of P satisfy
+    d omega(delta, .) = 0 and sampled rows of Q satisfy omega(delta) = 0."""
+    spec = FlagSpec(13, (1, 1, 1))
+    cand = random_form("contact", spec, 5)
+    dimO = spec.dim
+    domega = cand.form.d()
+    assert _reeb_vector(domega)[0].constant_term() and \
+        cand.form.terms[(2,)].constant_term()
+    with _timed("contact split at p = 13, heights (1,1,1)", 5):
+        P, Q = contact_split(cand)
+    assert P.shape == (dimO, 3 * dimO) and Q.shape == (2 * dimO, 3 * dimO)
+    monos = list(spec.monomials())
+
+    def derivation(row):
+        return [AlgebraElement(spec, {monos[m]: int(row[i * dimO + m])
+                                      for m in np.flatnonzero(row[i * dimO:(i + 1) * dimO])})
+                for i in range(spec.n)]
+
+    rng = random.Random(13)
+    for r in rng.sample(range(P.shape[0]), 3):
+        assert not domega.contract(derivation(P[r]))
+    for r in rng.sample(range(Q.shape[0]), 3):
+        delta = derivation(Q[r])
+        value = AlgebraElement.zero(spec)
+        for (i,), f in cand.form.terms.items():
+            value = value + f * delta[i]
+        assert not value
 
 
 def test_criterion_10_gprime_orbit_predicate():

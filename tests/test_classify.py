@@ -149,6 +149,57 @@ def test_contact_split_non_unit_components_match_dense_oracle(p, heights):
         assert np.array_equal(Q, gfp.nullspace(ref_Q, p))
 
 
+def _shifted_normal_form(spec, i0, extra=None):
+    """dx_{i0} (+ dx_extra) + x_a dx_b over consecutive pairs (a, b) of the
+    other variables: R and f are units at i0 only (f also at extra), so
+    i0 = 0 makes R_0 a unit and i0 = n - 1 or extra = n - 1 makes f_{n-1}
+    one."""
+    rest = [i for i in range(spec.n) if i != i0]
+    form = e_vector_form(spec, [int(i in (i0, extra)) for i in range(spec.n)])
+    for a, b in zip(rest[::2], rest[1::2]):
+        form = form + DiffForm(spec, 1, {(b,): AlgebraElement.generator(spec, a)})
+    return ContactCandidate(form)
+
+
+# kind -> (R_0 a unit, f_{n-1} a unit, i0, extra)
+SPLIT_KINDS = {"both": (True, True, 0, -1), "R0 only": (True, False, 0, None),
+               "f_last only": (False, True, -1, None),
+               "neither": (False, False, 1, None)}
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+@pytest.mark.parametrize("p, heights", [(5, (1, 1, 1)), (3, (1, 2, 1)),
+                                        (7, (1, 1, 1)), (3, (1, 1, 1, 1, 1))])
+def test_contact_split_closed_forms_match_elimination(kind, p, heights):
+    """Each of the four unit patterns of (R_0, f_{n-1}) selects its own
+    branch of `contact_split` (closed form or elimination, for P and for
+    Q); P and Q equal the row space and null space of the matrices of
+    `_contact_matrices`, values and dtype.  Besides the shape itself, its
+    image under a random G' automorphism times a unit in c + m^2 keeps the
+    constant parts of d omega and omega up to the scalar c, so it keeps
+    the pattern."""
+    spec = FlagSpec(p, heights)
+    n = spec.n
+    R0_unit, f_unit, i0, extra = SPLIT_KINDS[kind]
+    base = _shifted_normal_form(spec, i0 % n, None if extra is None else extra % n)
+    rng = random.Random(p * 1000 + sum(heights) * 10 + len(kind))
+    unit = AlgebraElement.scalar(spec, rng.randrange(1, p)) + \
+        random_element(rng, spec, 4, in_m2=True)
+    moved = ContactCandidate(apply_to_candidate(
+        random_in(rng, spec, "Gprime"), base).form.mul_function(unit))
+    for cand in (base, moved):
+        reeb = _reeb_vector(cand.form.d())
+        f_last = cand.form.terms.get((n - 1,), AlgebraElement.zero(spec))
+        assert (reeb[0].constant_term() != 0) == R0_unit
+        assert (f_last.constant_term() != 0) == f_unit
+        span_P, rows_Q = _contact_matrices(cand, reeb)
+        ref_P, ref_Q = gfp.row_space(span_P, p), gfp.nullspace(rows_Q, p)
+        P, Q = contact_split(cand)
+        assert P.dtype == Q.dtype == ref_P.dtype == ref_Q.dtype == np.int64
+        assert np.array_equal(P, ref_P)
+        assert np.array_equal(Q, ref_Q)
+
+
 def test_is_contact_examples():
     s1 = FlagSpec(3, (1,))
     assert is_contact(ContactCandidate(e_vector_form(s1, [1])))

@@ -467,6 +467,22 @@ def test_cli_bruteforce_size_guard_before_enumerating(monkeypatch, capsys, dims)
         flagbilinear.grid_fibers(2, [int(d) for d in dims.split(",")])
 
 
+@pytest.mark.parametrize("p, dims", [("2", "1,2,3,4,5,6"), ("3", "1,2,3,4,5")])
+def test_cli_bruteforce_work_guard_before_enumerating(monkeypatch, capsys, p, dims):
+    """Forms and stabilizer candidates each pass their own bound here, but
+    candidate tests plus orbit-loop products do not: exit 2 before a single
+    stabilizer candidate is built (p = 2 used to run 89.5 s)."""
+    def no_group(p, dims):
+        raise AssertionError("flag_stabilizer was iterated")
+        yield
+
+    monkeypatch.setattr(flagbilinear, "flag_stabilizer", no_group)
+    assert main(["bruteforce-flagforms", "--p", p, "--dims", dims]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: orbit enumeration exceeds the size guard\n"
+
+
 @pytest.mark.parametrize("argv, field", [
     (["random", "--kind", "type1", "--p", "3", "--heights", "0,1"], "heights"),
     (["cohomology", "--p", "3", "--heights", "0,1", "--degree", "1"], "heights"),

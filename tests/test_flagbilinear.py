@@ -5,8 +5,9 @@ import pytest
 
 from charpforms import gfp
 from charpforms.flagbilinear import (
-    FlaggedBilinear, admissible_grids, brute_force_orbit_partition,
-    canonical_flag_basis, coordinate_flag, flagged_from_dims,
+    FlaggedBilinear, _stabilizer_counts, admissible_grids,
+    brute_force_orbit_partition, canonical_flag_basis, coordinate_flag,
+    flag_stabilizer, flagged_from_dims,
     grid_canonical_matrix, grid_fibers, grid_ok, invariants_contact_pair,
     invariants_form_functional, invariants_nqt, same_orbit_flagged,
 )
@@ -176,6 +177,15 @@ def test_bruteforce_matches_grid_fibers(p, dims):
     fd = [dims[0]] + [b - a for a, b in zip(dims, dims[1:])]
     grids = list(admissible_grids(fd))
     assert len(orbits) == len(grids)
+
+
+@pytest.mark.parametrize("p, dims", [(3, [3]), (2, [1, 2, 3]), (3, [1, 1, 2]),
+                                     (2, [2, 4]), (3, [1, 3]), (2, [0, 2]),
+                                     (2, [1, 2, 3, 4])])
+def test_stabilizer_counts_match_enumeration(p, dims):
+    """The order behind the work guard of brute_force_orbit_partition is the
+    number of matrices flag_stabilizer yields."""
+    assert _stabilizer_counts(p, dims)[1] == len(list(flag_stabilizer(p, dims)))
 
 
 def test_functional_invariants_examples():
