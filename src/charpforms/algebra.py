@@ -5,19 +5,24 @@ monomial basis x_1^(a_1)...x_n^(a_n) with 0 <= a_i < p^{m_i}, multiplication
 x^(r) x^(s) = C(r+s, r) x^(r+s), and dimension p^{m_1+...+m_n}.  Elements are
 sparse dicts {exponent tuple: nonzero coefficient}.
 
+Products add packed digit keys (`_Keys`), one bit field per base-p digit of
+each exponent.  By Lucas and Kummer, C(a+b, a) is nonzero mod p exactly when
+no digit carries, and then it is wt(a+b) / (wt(a) wt(b)), wt the product of
+the digit factorials.  So products truncate exactly: an exponent past
+p^{m_i} needs a carry past digit m_i - 1.  The Pascal table `_binom_rows`
+serves only `mono_dp_coeff` and `multiplication_matrix`.
+
 Divided powers f^(r) are computed in the free algebra (no exponent caps) and
 only then tested against the truncation; a result with an out-of-range
-exponent carrying a nonzero coefficient raises OutOfAlgebraError.  Plain
-products, by contrast, truncate exactly: a product exponent that overflows
-p^{m_i} forces a base-p carry past position m_i - 1, so its binomial
-coefficient vanishes mod p.
+exponent carrying a nonzero coefficient raises OutOfAlgebraError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, lt
+from itertools import product
+from operator import floordiv, lt
 
 import numpy as np
 
@@ -60,14 +65,7 @@ class FlagSpec:
 
     def monomials(self):
         """All basis monomials, lexicographic in the exponent vector."""
-        def rec(i):
-            if i < 0:
-                yield ()
-                return
-            for head in rec(i - 1):
-                for a in range(self.caps[i]):
-                    yield head + (a,)
-        return rec(self.n - 1)
+        return product(*map(range, self.caps))
 
     def heights_multiset(self) -> tuple:
         return tuple(sorted(self.heights))
@@ -111,20 +109,12 @@ def mono_dp_coeff(alpha: Mono, r: int, p: int) -> int:
     return c
 
 
-def _digits(r: int, p: int) -> list[int]:
-    out = []
-    while r:
-        out.append(r % p)
-        r //= p
-    return out
-
-
 @lru_cache(maxsize=None)
 def _binom_rows(p: int) -> tuple:
     """(R, B): B is the largest power of p up to 256 and R[s][a] = C(s, a)
     mod p for a <= s < B, one bytes row per s built by Pascal's rule.  Every
-    binomial of the products comes from here, and its size depends on p
-    only (at most 256 rows)."""
+    binomial of `mono_dp_coeff` and `multiplication_matrix` comes from here,
+    and its size depends on p only (at most 256 rows)."""
     B = p
     while B * p <= 256:
         B *= p
@@ -158,6 +148,83 @@ def _binom_table(cap: int, p: int) -> np.ndarray:
         T[a, a:cap] = [_binom(s, a, p) for s in range(a, cap)]
     T.flags.writeable = False       # shared by every caller through the cache
     return T
+
+
+class _Keys:
+    """Keys of one layout, digits[i] base-p digits in coordinate i: a key is
+    that digit string read in base 2^w, w = p.bit_length() + 1, so a digit
+    sum d1 + d2 <= 2p - 2 fits its field.  K holds 2^(w-1) - p and H the bit
+    2^(w-1) in every field: (K + k1 + k2) & H != 0 iff a digit carries.
+    wt is the product of the factorials of the digits, a unit mod p.
+    `enc` maps a monomial to (key, 1/wt mod p), or False past the layout,
+    `dec` a key plus K to (monomial, wt mod p); both emptied past LIMIT."""
+    LIMIT = 1 << 10                 # entries in the two tables
+
+    def __init__(self, p: int, digits: tuple):
+        self.p, self.digits, self.w = p, digits, p.bit_length() + 1
+        ones = sum(1 << self.w * i for i in range(sum(digits)))
+        self.K, self.H = ones * ((1 << self.w - 1) - p), ones << self.w - 1
+        self.fact = [math.factorial(d) % p for d in range(p)]
+        self.enc, self.dec = {}, {}
+
+    def encode(self, mono: Mono):
+        p, w, fact, key, wt, fits = self.p, self.w, self.fact, 0, 1, True
+        for a, nd in zip(mono, self.digits):
+            key <<= w * nd
+            for j in range(nd):
+                a, d = divmod(a, p)
+                key, wt = key | d << w * j, wt * fact[d] % p
+            fits = fits and not a
+        self.enc[mono] = out = fits and (key, inv_scalar(wt, p))
+        return out
+
+    def decode(self, key: int) -> tuple:
+        p, w, fact, k, mono, wt = self.p, self.w, self.fact, key - self.K, [], 1
+        for nd in reversed(self.digits):
+            a = 0
+            for j in range(nd):
+                d, k = k & (1 << w) - 1, k >> w
+                a, wt = a + d * p ** j, wt * fact[d] % p
+            mono.append(a)
+        self.dec[key] = out = (tuple(reversed(mono)), wt)
+        return out
+
+    def decoded(self, acc: dict, spec: FlagSpec) -> "AlgebraElement":
+        """The element sum c * wt x^(mono) over the offset keys of acc."""
+        if len(self.enc) + len(self.dec) > self.LIMIT:
+            self.enc, self.dec = {}, {}
+        p, dec, terms = self.p, self.dec, {}
+        for k, c in acc.items():
+            mono, wt = dec.get(k) or self.decode(k)
+            if c := c * wt % p:
+                terms[mono] = c
+        return AlgebraElement._trusted(spec, terms)
+
+
+_keys = lru_cache(maxsize=32)(_Keys)      # one _Keys per (p, digits)
+
+
+def _free_keys(spec: FlagSpec, tops) -> _Keys:
+    """Keys for exponents up to tops[i]: the heights plus the fewest extra
+    digits, the same in every coordinate, so an algebra has few layouts."""
+    over, extra = max(map(floordiv, tops, spec.caps), default=0), 0
+    while over:
+        over, extra = over // spec.p, extra + 1
+    return _keys(spec.p, tuple(m + extra for m in spec.heights) if extra else spec.heights)
+
+
+@lru_cache(maxsize=1 << 12)
+def _dp_pieces(keys: _Keys, mono: Mono, c: int) -> tuple:
+    """Entry beta <= p is (key, coefficient / wt) of (c x^(mono))^(beta) =
+    c^beta mono_dp_coeff(mono, beta) x^(beta mono), None if that is 0."""
+    p, out = keys.p, [(0, 1)]
+    for beta in range(1, p + 1):
+        coeff = mono_dp_coeff(mono, beta, p) * pow(c, beta, p) % p
+        if coeff:
+            key, winv = keys.encode(tuple(a * beta for a in mono))
+            coeff = (key, coeff * winv % p)
+        out.append(coeff or None)
+    return tuple(out)
 
 
 def multiplication_matrix(f: "AlgebraElement") -> np.ndarray:
@@ -285,45 +352,31 @@ class AlgebraElement:
 
     def __mul__(self, other):
         """Truncated product; exact because dropped terms vanish mod p."""
-        return self._product(other, self.spec.caps)
+        return self._product(other, _keys(self.spec.p, self.spec.heights))
 
     def mul_free(self, other) -> "AlgebraElement":
         """Product in the free divided power algebra (no truncation)."""
-        return self._product(other, None)
+        tops = map(max, zip(*self.terms, *other.terms))
+        return self._product(other, _free_keys(self.spec, tops))
 
-    def _product(self, other, caps) -> "AlgebraElement":
-        """Term-by-term product; caps=None multiplies in the free algebra.
-
-        With caps, terms with an exponent at or past its cap are dropped
-        first; the rest multiply as in the free algebra, since a product
-        exponent a + b >= p^m of two exponents below p^m carries past digit
-        m - 1 and so has C(a + b, a) = 0 mod p (Lucas).  Coordinates where
-        either exponent is 0 contribute the binomial 1 and are skipped.
-        """
+    def _product(self, other, keys: _Keys) -> "AlgebraElement":
+        """Term-by-term product on the keys of one layout; with the heights
+        as the layout, a term past a cap does not encode and is dropped.
+        Coefficients, scaled by 1/wt, accumulate in pair order."""
         self._check(other)
-        p = self.spec.p
-        rows, B = _binom_rows(p)
-        left, right = self.terms.items(), other.terms.items()
-        if caps is not None:
-            left = [t for t in left if all(map(lt, t[0], caps))]
-            right = [t for t in right if all(map(lt, t[0], caps))]
+        H, K, enc, code = keys.H, keys.K, keys.enc.get, keys.encode
+        right = [(e[0], c * e[1]) for m, c in other.terms.items()
+                 if (e := enc(m) or code(m))]
         out: dict = {}
-        for m1, c1 in left:
-            nz = [(i, a) for i, a in enumerate(m1) if a]
-            for m2, c2 in right:
-                coeff = c1 * c2
-                for i, a in nz:
-                    b = m2[i]
-                    if b:
-                        s = a + b
-                        t = rows[s][a] if s < B else _binom(s, a, p)
-                        if not t:
-                            break
-                        coeff *= t
-                else:                       # no binomial was 0 mod p
-                    key = tuple(map(add, m1, m2))
-                    out[key] = (out.get(key, 0) + coeff) % p
-        return AlgebraElement._trusted(self.spec, {m: c for m, c in out.items() if c})
+        get = out.get
+        for m1, c1 in self.terms.items():
+            if e := enc(m1) or code(m1):
+                k1, c1 = e[0] + K, c1 * e[1]
+                for k2, c2 in right:
+                    k = k1 + k2
+                    if not k & H:
+                        out[k] = get(k, 0) + c1 * c2
+        return keys.decoded(out, self.spec)
 
     # -- structure queries ----------------------------------------------------
 
@@ -363,37 +416,27 @@ class AlgebraElement:
     # -- divided powers, exp, units -------------------------------------------
 
     def _dp_free_p(self) -> "AlgebraElement":
-        """f^(p) in the free algebra by the multinomial addition rule."""
+        """f^(p) in the free algebra by the multinomial addition rule; each
+        product of monomial powers is carried as one key and one scalar."""
         p = self.spec.p
-        items = list(self.terms.items())
+        keys = _free_keys(self.spec, [p * t for t in map(max, zip(*self.terms))])
+        H = keys.H
+        pieces = [_dp_pieces(keys, mono, c) for mono, c in self.terms.items()]
+        last = len(pieces) - 1
         out: dict = {}
 
-        def rec(idx, remaining, acc):
-            if idx == len(items):
-                if remaining == 0:
-                    for m, c in acc.terms.items():
-                        out[m] = (out.get(m, 0) + c) % p
-                return
-            mono, c = items[idx]
-            choices = range(remaining + 1) if idx < len(items) - 1 else [remaining]
-            for beta in choices:
-                coeff = mono_dp_coeff(mono, beta, p) if beta else 1
-                coeff = coeff * pow(c, beta, p) % p
-                if not coeff:
-                    continue
-                piece = AlgebraElement(
-                    self.spec, {tuple(a * beta for a in mono): coeff})
-                rec(idx + 1, remaining - beta, acc.mul_free(piece))
+        def rec(idx, remaining, key, coeff):
+            for beta in range(remaining + 1) if idx < last else (remaining,):
+                piece = pieces[idx][beta]
+                if piece and not (k := key + piece[0]) & H:
+                    if idx < last:
+                        rec(idx + 1, remaining - beta, k, coeff * piece[1] % p)
+                    else:
+                        out[k] = out.get(k, 0) + coeff * piece[1] % p
 
-        rec(0, p, AlgebraElement.one(self.spec))
-        return AlgebraElement._trusted(self.spec, {m: c for m, c in out.items() if c})
-
-    def _p_power_tower(self, length: int) -> list:
-        """[f, f^(p), f^(p^2), ...] in the free algebra, `length` entries."""
-        powers = [self]
-        for _ in range(length - 1):
-            powers.append(powers[-1]._dp_free_p())
-        return powers
+        if pieces:
+            rec(0, p, keys.K, 1)
+        return keys.decoded(out, self.spec)
 
     def dp_free(self, r: int) -> "AlgebraElement":
         """f^(r) in the free algebra, for f with zero constant term."""
@@ -405,12 +448,14 @@ class AlgebraElement:
         if r == 0:
             return AlgebraElement.one(self.spec)
         # f^(r) = prod_k (f^(p^k))^(d_k) / d_k! over the base-p digits d_k of r
-        digits = _digits(r, p)
-        out = AlgebraElement.one(self.spec)
-        for d, g in zip(digits, self._p_power_tower(len(digits))):
+        out, g, unit = None, self, 1
+        while r:
+            r, d = divmod(r, p)
             for _ in range(d):
-                out = out.mul_free(g)
-        return out.scale(inv_scalar(math.prod(map(math.factorial, digits)), p))
+                out = g if out is None else out.mul_free(g)
+            unit = unit * math.factorial(d) % p
+            g = g._dp_free_p() if r else g
+        return out.scale(inv_scalar(unit, p))
 
     def divided_power(self, r: int) -> "AlgebraElement":
         """f^(r) inside O(F); raises OutOfAlgebraError if it escapes."""

@@ -43,7 +43,7 @@ class Derivation:
 
 
 class Automorphism:
-    __slots__ = ("spec", "images", "_mono_cache", "_power_cache")
+    __slots__ = ("spec", "images", "_mono_cache")
 
     def __init__(self, spec: FlagSpec, images):
         self.spec = spec
@@ -61,8 +61,7 @@ class Automorphism:
                     "some required divided power escapes")
         if not gfp.is_invertible(self.linear_matrix(), spec.p):
             raise ValueError("Jacobian det(d_i y_j) is not invertible")
-        self._mono_cache = {}
-        self._power_cache = {}
+        self._mono_cache = {spec.zero_mono(): AlgebraElement.one(spec)}
 
     def linear_matrix(self) -> np.ndarray:
         """A with A[i][j] = coefficient of x_j in y_i (the action on E)."""
@@ -74,22 +73,17 @@ class Automorphism:
 
     # -- action ---------------------------------------------------------------
 
-    def _image_power(self, i: int, a: int) -> AlgebraElement:
-        """y_i^(a), interior by the C_{m_i-1} constraint."""
-        key = (i, a)
-        out = self._power_cache.get(key)
-        if out is None:
-            out = self.images[i].divided_power(a)
-            self._power_cache[key] = out
-        return out
-
     def _image_mono(self, mono) -> AlgebraElement:
+        """sigma(x^(a)) = sigma(prefix) * y_l^(a_l), l the last nonzero
+        coordinate, every prefix cached; y_l^(a_l) is interior (C_{m_l-1})."""
         out = self._mono_cache.get(mono)
         if out is None:
-            out = AlgebraElement.one(self.spec)
-            for i, a in enumerate(mono):
-                if a:
-                    out = out * self._image_power(i, a)
+            last = max(i for i, a in enumerate(mono) if a)
+            prefix = mono[:last] + (0,) * (len(mono) - last)
+            if any(prefix):
+                out = self._image_mono(prefix) * self._image_mono((0,) * last + mono[last:])
+            else:
+                out = self.images[last].divided_power(mono[last])
             self._mono_cache[mono] = out
         return out
 

@@ -73,19 +73,19 @@ def element_to_json(f: AlgebraElement) -> list:
     return [{"coeff": int(c), "mono": list(m)} for m, c in f.sorted_terms()]
 
 
-def _add_term(spec: FlagSpec, t, field: str, terms: dict) -> None:
-    """Check the term record t ({"coeff", "mono"}) and add it into terms."""
+def _add_term(spec: FlagSpec, t, field: str, i: int, terms: dict) -> None:
+    """Check term record i of `field` ({"coeff", "mono"}), add it into terms."""
     if not isinstance(t, dict):
-        raise FormatError(field, "expected a term record")
+        raise FormatError(f"{field}[{i}]", "expected a term record")
     mono = t.get("mono")
     coeff = t.get("coeff")
     if not isinstance(mono, list) or len(mono) != spec.n or not _ints(mono):
-        raise FormatError(f"{field}.mono", "bad exponent vector")
+        raise FormatError(f"{field}[{i}].mono", "bad exponent vector")
     if not _ints([coeff]):
-        raise FormatError(f"{field}.coeff", "expected an integer")
+        raise FormatError(f"{field}[{i}].coeff", "expected an integer")
     mono = tuple(mono)
     if any(a < 0 or a >= cap for a, cap in zip(mono, spec.caps)):
-        raise FormatError(f"{field}.mono", "exponent out of range")
+        raise FormatError(f"{field}[{i}].mono", "exponent out of range")
     terms[mono] = terms.get(mono, 0) + coeff
 
 
@@ -94,7 +94,7 @@ def element_from_json(spec: FlagSpec, data, field: str = "element") -> AlgebraEl
         raise FormatError(field, "expected a list of terms")
     terms: dict = {}
     for i, t in enumerate(data):
-        _add_term(spec, t, f"{field}[{i}]", terms)
+        _add_term(spec, t, field, i, terms)
     return AlgebraElement(spec, terms)
 
 
@@ -144,7 +144,7 @@ def form_from_json(data: dict):
                 any(i2 < 1 or i2 > spec.n for i2 in wedge):
             raise FormatError(f"terms[{i}].wedge", "bad wedge index list")
         I = tuple(i2 - 1 for i2 in wedge)
-        _add_term(spec, t, f"terms[{i}]", by_wedge.setdefault(I, {}))
+        _add_term(spec, t, "terms", i, by_wedge.setdefault(I, {}))
     form = DiffForm(spec, degree, {I: AlgebraElement(spec, terms)
                                    for I, terms in by_wedge.items()})
     if degree == 2:

@@ -386,6 +386,76 @@ def test_products_match_per_pair_reference(operands):
     assert list(f.mul_free(g).terms.items()) == product_by_pairs(f, g, None)
 
 
+def seeded_operand(rng, spec):
+    """Zero, a constant, or up to five terms whose exponents lie inside the
+    caps, at a cap minus one, at a cap, or up to two base-p digits past the
+    heights (so the free product needs wider keys than the heights), below
+    5,000 so that math.comb in the reference stays fast."""
+    p = spec.p
+    kind = rng.randrange(8)
+    if kind == 0:
+        return AlgebraElement.zero(spec)
+    if kind == 1:
+        return AlgebraElement.scalar(spec, rng.randrange(1, p))
+    def exponent(cap):
+        return rng.choice([0, 1, cap - 1, cap, rng.randrange(cap),
+                           rng.randrange(min(cap * p, 5000)),
+                           rng.randrange(min(cap * p * p, 5000))])
+    return AlgebraElement(spec, {tuple(map(exponent, spec.caps)): rng.randrange(1, p)
+                                 for _ in range(rng.randint(1, 5))})
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_products_match_per_pair_reference_at_every_prime(p):
+    # every key field width (w = 3, 4, 5 bits) and heights up to 3
+    rng = random.Random(p)
+    for heights in [(1,), (3,), (1, 2), (2, 1, 3), (3, 3), (1, 1, 1, 1)]:
+        spec = FlagSpec(p, heights)
+        for _ in range(40):
+            f, g = seeded_operand(rng, spec), seeded_operand(rng, spec)
+            assert list((f * g).terms.items()) == product_by_pairs(f, g, spec.caps)
+            assert list(f.mul_free(g).terms.items()) == product_by_pairs(f, g, None)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_dp_free_below_p_is_power_over_factorial(p):
+    rng = random.Random(100 + p)
+    for heights in [(1,), (2, 1), (1, 1, 1)]:
+        spec = FlagSpec(p, heights)
+        for _ in range(10):
+            f = random_element(rng, spec, 3)
+            power = AlgebraElement.one(spec)
+            for r in range(1, p):
+                power = power.mul_free(f)
+                assert f.dp_free(r) == power.scale(pow(math.factorial(r), -1, p))
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_addition_rule_at_p_at_every_prime(p):
+    # (f + g)^(p) = sum_i f^(i) g^(p - i)
+    rng = random.Random(200 + p)
+    for heights in [(1,), (1, 2), (1, 1, 1)]:
+        spec = FlagSpec(p, heights)
+        for _ in range(8):
+            f, g = random_element(rng, spec, 2), random_element(rng, spec, 2)
+            rhs = AlgebraElement.zero(spec)
+            for i in range(p + 1):
+                rhs = rhs + f.dp_free(i).mul_free(g.dp_free(p - i))
+            assert (f + g).dp_free(p) == rhs
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_pth_power_of_top_generator_power_escapes(p):
+    # (x_i^(p^(m_i - 1)))^(p) = c x_i^(p^(m_i)) with c a unit mod p
+    for heights in [(1,), (2,), (1, 3), (2, 1, 1)]:
+        spec = FlagSpec(p, heights)
+        for i, m in enumerate(heights):
+            x = AlgebraElement.generator(spec, i, p ** (m - 1))
+            assert x.divided_power(p - 1)
+            with pytest.raises(OutOfAlgebraError):
+                x.divided_power(p)
+
+
 def exp_by_digit_sum(f):
     """Reference exp: sum over r = 1..top of f^(r), each assembled from the
     base-p digits d_k of r as prod_k (f^(p^k))^(d_k) / d_k!."""

@@ -53,6 +53,27 @@ def test_apply_is_ring_homomorphism():
                 sigma.apply_to_element(f) + sigma.apply_to_element(g)
 
 
+@pytest.mark.parametrize("p, heights", [(2, (1, 2, 1, 2)), (3, (1, 2, 1, 1)),
+                                        (5, (1, 1, 1, 1)), (13, (1, 1, 1, 1))])
+def test_apply_to_element_matches_direct_products(p, heights):
+    # sigma(x^(a)) is built from cached prefixes; it must equal
+    # y_1^(a_1) * ... * y_n^(a_n) multiplied left to right, term order too
+    s = FlagSpec(p, heights)
+    rng = random.Random(p)
+    for _ in range(1 if p == 13 else 4):      # dense images at p = 13
+        sigma = random_in(rng, s, "G")
+        monos = [tuple(rng.randrange(cap) for cap in s.caps) for _ in range(6)]
+        monos += [m[:k] + (0,) * (s.n - k) for m in monos[:2] for k in range(s.n)]
+        rng.shuffle(monos)
+        for mono in monos:
+            direct = AlgebraElement.one(s)
+            for i, a in enumerate(mono):
+                if a:
+                    direct = direct * sigma.images[i].divided_power(a)
+            got = sigma.apply_to_element(AlgebraElement.monomial(s, mono, 1))
+            assert list(got.terms.items()) == list(direct.terms.items())
+
+
 def test_apply_preserves_divided_powers():
     rng = random.Random(1)
     s = FlagSpec(3, (1, 2))
