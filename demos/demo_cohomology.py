@@ -32,7 +32,7 @@ print("d(potential) == omega:", phi.d() == omega)
 psi = d_element(f) + DiffForm(spec, 1, {(0,): AlgebraElement.monomial(spec, (2, 0))})
 e, u = decompose_z1(psi)
 print("\nclosed psi          =", render_form(psi))
-print("u-class component e =", list(e))
+print("u-class component e =", [int(c) for c in e])
 print("witness unit u      =", render_element(u))
 print("check equality      :", dlog(u) + e_vector_form(spec, e) == psi)
 

@@ -79,11 +79,6 @@ class OutOfAlgebraError(Exception):
         super().__init__(msg or f"divided power escapes the algebra at {mono}")
 
 
-def binom_lucas(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' theorem."""
-    return _binom(n, k, p) if 0 <= k <= n else 0
-
-
 @lru_cache(maxsize=1 << 16)
 def mono_dp_coeff(alpha: Mono, r: int, p: int) -> int:
     """Coefficient of (x^(alpha))^(r) = c * x^(r*alpha), exactly mod p.

@@ -22,7 +22,8 @@ from .classify import (equivalent, invariants, normal_shape, random_form,
                        recognize)
 from .flagbilinear import (admissible_grids, brute_force_orbit_partition,
                            flagged_from_dims, grid_fibers, invariants_nqt)
-from .forms import DiffForm, cohomology_basis, cohomology_dims, render_form
+from .forms import (DiffForm, cohomology_basis, cohomology_dims, h_class,
+                    h_class_to_form, is_exact_with_potential, render_form)
 from .gfp import CheckFailed
 from .jsonio import (FormatError, _ints, check_p, form_from_json,
                      form_to_json, invariants_to_json, make_spec)
@@ -174,11 +175,10 @@ def _default_seed() -> int:
 
 
 def cmd_selftest(args) -> int:
-    import math
+    import itertools
     import random as _random
     from .algebra import AlgebraElement, random_element
     from .classify import apply_to_candidate
-    from .forms import is_exact_with_potential
     from .groups import random_in
 
     seed = args.seed if args.seed is not None else _default_seed()
@@ -210,9 +210,23 @@ def cmd_selftest(args) -> int:
         ok = ok and lhs == rhs and not f.mul_free(g).dp_free(p)
     report("divided power identities", ok)
 
-    ok = cohomology_dims(spec) == [math.comb(spec.n, k)
-                                   for k in range(spec.n + 1)]
-    report("cohomology dimensions", ok)
+    ok = True
+    for _ in range(args.iters):
+        for k in range(1, min(2, spec.n) + 1):
+            # omega = d(phi) + sum c_I z_I is closed with class c
+            phi = DiffForm(spec, k - 1, {
+                I: random_element(rng, spec, 2, in_m=False)
+                for I in itertools.combinations(range(spec.n), k - 1)})
+            basis = cohomology_basis(spec, k)
+            c = [rng.randrange(p) for _ in basis]
+            omega = phi.d()
+            for ci, z in zip(c, basis):
+                omega = omega + z.scale(ci)
+            rest = omega - h_class_to_form(spec, k, c)
+            ok = ok and [int(x) for x in h_class(omega)] == c \
+                and is_exact_with_potential(rest) is not None \
+                and (not any(c) or is_exact_with_potential(omega) is None)
+    report("cohomology classes", ok)
 
     from .forms import d_element
     ok = True

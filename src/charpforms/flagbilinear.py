@@ -101,17 +101,6 @@ def _grid(W: dict, r: int) -> np.ndarray:
     return w[1:, :-1] - w[1:, 1:] - w[:-1, :-1] + w[:-1, 1:]
 
 
-def same_orbit_flagged(fb: FlaggedBilinear, fb2: FlaggedBilinear) -> bool:
-    """Whether b and b2 lie in one orbit of the stabilizer of their (equal)
-    flag: whether their grids agree (Cor. 4.4)."""
-    if fb.p != fb2.p or len(fb.flag) != len(fb2.flag):
-        raise ValueError("flag mismatch")
-    for A, B in zip(fb.flag, fb2.flag):
-        if not np.array_equal(A, B):
-            raise ValueError("flag mismatch")
-    return np.array_equal(invariants_nqt(fb), invariants_nqt(fb2))
-
-
 def grid_ok(grid, dims, nondegenerate: bool | None = None) -> bool:
     """The Cor-4.4 constraints for a grid against factor dimensions."""
     grid = np.asarray(grid, dtype=np.int64)

@@ -5,8 +5,10 @@ length k): AlgebraElement coefficient}.  The exterior derivative acts by
 d(f dx_I) = sum_i (d_i f) dx_i ^ dx_I, so the complex is the tensor product
 of the one-variable complexes O_i -> O_i dx_i.  Their contracting homotopies
 give exact potentials in one pass over the terms and the cohomology basis of
-top cocycles; the cohomology dimensions come from small residue blocks of
-the twisted complex at e = 0.  Everything is exact over F_p.
+top cocycles.  The twisted complex d' = d + eta ^ (.) splits into residue
+blocks that are tensor products of two-term complexes too, so its
+cohomology dimensions (and, at e = 0, those of d) are a closed formula.
+Everything is exact over F_p.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import gfp
 from .algebra import AlgebraElement, FlagSpec
 from .gfp import ensure
 
@@ -48,7 +49,8 @@ class DiffForm:
     def __init__(self, spec: FlagSpec, degree: int, terms: dict | None = None):
         # degrees outside 0..n are permitted only for the zero form (they
         # arise as d of top-degree forms and contractions of 0-forms)
-        if (degree < 0 or degree > spec.n) and terms:
+        n = spec.n
+        if (degree < 0 or degree > n) and terms:
             raise ValueError(f"bad form degree {degree}")
         self.spec = spec
         self.degree = degree
@@ -56,7 +58,8 @@ class DiffForm:
         for I, f in (terms or {}).items():
             I = tuple(I)
             if f:
-                if len(I) != degree or list(I) != sorted(set(I)):
+                if len(I) != degree or list(I) != sorted(set(I)) or \
+                        I and (I[0] < 0 or I[-1] >= n):
                     raise ValueError(f"bad wedge index tuple {I}")
                 self.terms[I] = f
 
@@ -195,17 +198,7 @@ def render_form(omega: DiffForm) -> str:
 
 
 def cohomology_dims(spec: FlagSpec) -> list[int]:
-    """dim H^k for k = 0..n: the twisted complex at e = 0.
-
-    With e = 0, d' = d, which preserves the multidegree w(x^(a) dx_I) =
-    a + 1_I and so splits into d-blocks, one per w.  The residue block of
-    d' at a coordinate with w_i = 0 mod p^{m_i} holds (0, i not in I) and
-    (p^{m_i} - 1, i in I): the d-blocks at w_i = 0 and w_i = p^{m_i}, which
-    d never joins (it lowers a_i only from a_i != 0, at a coordinate outside
-    I).  Every other residue is one d-block at 0 < w_i < p^{m_i}.  So the
-    residue blocks are direct sums of the d-blocks, and their dims add up to
-    those of H^*(d).
-    """
+    """dim H^k = C(n, k) for k = 0..n: the twisted complex at e = 0."""
     return twisted_cohomology_dims(spec, [0] * spec.n)
 
 
@@ -364,77 +357,33 @@ def d_element(f: AlgebraElement) -> DiffForm:
 
 def e_vector_form(spec: FlagSpec, e) -> DiffForm:
     """sum e_i dx_i."""
+    if len(e) != spec.n:
+        raise ValueError(f"u-class vector of length {len(e)}, expected {spec.n}")
     return DiffForm(spec, 1, {
         (i,): AlgebraElement.scalar(spec, int(c))
         for i, c in enumerate(e) if int(c) % spec.p})
 
 
-def eta_form(spec: FlagSpec, e) -> DiffForm:
-    """The twisting cocycle sum e_i x_i^(p^{m_i}-1) dx_i."""
-    terms = {}
-    for i, c in enumerate(e):
-        c = int(c) % spec.p
-        if c:
-            mono = tuple(spec.caps[i] - 1 if j == i else 0 for j in range(spec.n))
-            terms[(i,)] = AlgebraElement(spec, {mono: c})
-    return DiffForm(spec, 1, terms)
-
-
-# ---------------------------------------------------------------------------
-# Twisted complex d' = d + eta ^ (.) for eta = sum e_i x_i^(p^{m_i}-1) dx_i.
-# d' preserves the multidegree modulo p^{m_i} per coordinate; the block at a
-# residue class depends only on {i : w_i = 0 mod p^{m_i}}, so distinct blocks
-# are computed once and weighted by multiplicity.
-# ---------------------------------------------------------------------------
-
 def twisted_cohomology_dims(spec: FlagSpec, e) -> list[int]:
-    """dim H^k(d') for k = 0..n: each residue zero-pattern once, weighted by
-    its multiplicity; w_i = 0 happens once per coordinate, so the count is a
-    product of (1 or cap_i - 1) factors."""
-    e = [int(c) % spec.p for c in e]
-    dims = [0] * (spec.n + 1)
-    for pattern in itertools.product((False, True), repeat=spec.n):
-        mult = math.prod(1 if z else cap - 1 for z, cap in zip(pattern, spec.caps))
-        for k, dim in enumerate(_twisted_block_dims(spec, pattern, e)):
-            dims[k] += mult * dim
-    return dims
+    """dim H^k(d') for k = 0..n, where d' = d + eta ^ (.) and eta = sum e_i
+    x_i^(p^{m_i}-1) dx_i: C(n, k) when e = 0 mod p, and 0 otherwise.
 
-
-def _twisted_block_dims(spec: FlagSpec, pattern, e) -> list[int]:
-    """Cohomology dims of one residue block; pattern[i] = (w_i = 0)."""
-    p = spec.p
-    n = spec.n
-    # block elements: per coordinate, w_i != 0 gives (w_i, out) / (w_i-1, in);
-    # w_i = 0 gives (0, out) / (cap_i - 1, in).  Only the in/out bit matters.
-    by_degree = [list(itertools.combinations(range(n), k)) for k in range(n + 2)]
-    mats = []
-    for k in range(n + 1):
-        src, dst = by_degree[k], by_degree[k + 1]
-        index = {I: r for r, I in enumerate(dst)}
-        M = gfp.zeros(len(dst), len(src))
-        for c, I in enumerate(src):
-            for i in range(n):
-                if i in I:
-                    continue
-                # d-part moves a_i -> a_i - 1: possible iff a_i != 0, i.e.
-                # w_i != 0 (a_i = w_i) -- for w_i = 0 the out-option has a=0.
-                # eta-part needs a_i = 0 and multiplies by the top power:
-                # target exponent cap-1, i.e. the in-option of a w_i = 0 slot.
-                J, sign = _merge_sign((i,), I)
-                if not pattern[i]:
-                    M[index[J], c] = (M[index[J], c] + sign) % p
-                elif e[i]:
-                    M[index[J], c] = (M[index[J], c] + sign * e[i]) % p
-        mats.append(M)
-    # d'^2 = 0 on the block
-    for k in range(n):
-        comp = gfp.modp(mats[k + 1] @ mats[k], p)
-        ensure(not np.any(comp), "twisted differential does not square to zero")
-    ranks = [gfp.rank(M, p) for M in mats]
-    return [len(by_degree[k]) - ranks[k] - (ranks[k - 1] if k else 0)
-            for k in range(n + 1)]
-
-
-def twisted_d(omega: DiffForm, e) -> DiffForm:
-    """d'(omega) = d(omega) + eta ^ omega, for use by the dense oracle."""
-    return omega.d() + eta_form(omega.spec, e).wedge(omega)
+    d' preserves the multidegree w(x^(a) dx_I) = a + 1_I modulo p^{m_i} in
+    each coordinate (eta ^ raises a_i by p^{m_i} - 1 and adds i to I), so
+    the complex splits into residue blocks.  Fix w.  At a coordinate with
+    w_i != 0 the block holds x_i^(w_i) and x_i^(w_i - 1) dx_i, and d maps
+    the first to the second (eta ^ sends x_i^(w_i) past the cap, to 0).
+    At w_i = 0 it holds 1 and x_i^(p^{m_i}-1) dx_i, d is 0 and eta ^ maps
+    the first to e_i times the second.  So the block is the
+    tensor product over i of two-term complexes F_p -> F_p whose map is 1
+    when w_i != 0 and e_i when w_i = 0.  By Künneth its cohomology is the
+    tensor product of theirs, and a factor is acyclic exactly when its map
+    is nonzero.  Only the block w = 0 (one residue class) can survive; it
+    is acyclic as soon as some e_i != 0 mod p, and at e = 0 it is the
+    exterior algebra on the top cocycles, C(n, k) in degree k.
+    """
+    if len(e) != spec.n:
+        raise ValueError(f"twisting vector of length {len(e)}, expected {spec.n}")
+    if any(int(c) % spec.p for c in e):
+        return [0] * (spec.n + 1)
+    return [math.comb(spec.n, k) for k in range(spec.n + 1)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from charpforms.algebra import (
     AlgebraElement, FlagSpec, OutOfAlgebraError,
-    binom_lucas, mono_dp_coeff, multiplication_matrix,
+    mono_dp_coeff, multiplication_matrix,
     random_element, render_element,
 )
 from charpforms.gfp import SUPPORTED_PRIMES, CheckFailed
@@ -26,13 +26,6 @@ def dp_coeff_bigint(alpha, r, p):
     q, rem = divmod(num, den)
     assert rem == 0
     return q % p
-
-
-def test_binom_lucas():
-    for p in (2, 3, 5):
-        for n in range(0, 40):
-            for k in range(0, n + 1):
-                assert binom_lucas(n, k, p) == math.comb(n, k) % p
 
 
 def test_mono_dp_coeff_against_bigint():
@@ -154,7 +147,7 @@ def test_dp_identities_random():
             # product rule: f^(r) f^(s) = C(r+s, r) f^(r+s)
             for r, st in [(1, 2), (2, 3), (1, p)]:
                 lhs = f.dp_free(r).mul_free(f.dp_free(st))
-                rhs = f.dp_free(r + st).scale(binom_lucas(r + st, r, p))
+                rhs = f.dp_free(r + st).scale(math.comb(r + st, r) % p)
                 assert lhs == rhs
             # vanishing rule: (fg)^(r) = 0 for r >= p
             assert not f.mul_free(g).dp_free(p)
@@ -176,7 +169,7 @@ def test_escape_signals_agree_on_identity_sides():
         for _ in range(120):
             f = random_element(rng, s, 2)
             r, t = rng.choice([(1, 2), (2, 3), (1, p), (p, p)])
-            coeff = binom_lucas(r + t, r, p)
+            coeff = math.comb(r + t, r) % p
             lhs_free = f.dp_free(r).mul_free(f.dp_free(t))
             rhs_free = f.dp_free(r + t).scale(coeff)
             assert lhs_free == rhs_free

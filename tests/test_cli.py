@@ -280,10 +280,13 @@ def test_cli_selftest(capsys):
 def test_cli_selftest_failure_exits_3(monkeypatch, capsys):
     """A failing property is an internal fault: exit 3, not 2 (malformed
     input)."""
-    monkeypatch.setattr(cli, "cohomology_dims", lambda spec: [])
+    h_class = cli.h_class
+    monkeypatch.setattr(cli, "h_class", lambda omega: h_class(omega) + 1)
     assert main(["selftest", "--p", "3", "--n", "2", "--seed", "4",
                  "--iters", "1"]) == 3
-    assert "FAIL cohomology dimensions" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL cohomology classes" in out
+    assert "PASS exactness solver round trip" in out
 
 
 def test_cli_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,6 @@ from charpforms.forms import (
     DiffForm, cohomology_basis, cohomology_dims, d_element, decompose_z1,
     dlog, e_vector_form, h_class, h_class_to_form, is_exact_with_potential,
     render_form, top_monomial, twisted_cohomology_dims,
-    twisted_d,
 )
 
 
@@ -33,31 +32,34 @@ def random_derivation(rng, spec, terms=2):
     return [random_element(rng, spec, terms, in_m=False) for _ in range(spec.n)]
 
 
-def dense_complex_dims(spec):
-    """Independent oracle: cohomology via one big d-matrix per degree."""
-    p = spec.p
-    basis = {}
-    for k in range(spec.n + 2):
-        basis[k] = [(m, I) for I in itertools.combinations(range(spec.n), min(k, spec.n))
-                    if len(I) == k
-                    for m in spec.monomials()]
-    mats = {}
+def eta_form(spec, e):
+    """The twisting cocycle sum e_i x_i^(p^{m_i}-1) dx_i."""
+    return DiffForm(spec, 1, {
+        (i,): AlgebraElement.monomial(spec, top_monomial(spec, (i,)), int(c))
+        for i, c in enumerate(e)})
+
+
+def twisted_d(omega, e):
+    """d'(omega) = d(omega) + eta ^ omega."""
+    return omega.d() + eta_form(omega.spec, e).wedge(omega)
+
+
+def dense_twisted_dims(spec, e):
+    """Independent oracle: dim H^k(d') from one dense matrix of d' per
+    degree, built term by term from `twisted_d`."""
+    basis = [[(m, I) for I in itertools.combinations(range(spec.n), k)
+              for m in spec.monomials()] for k in range(spec.n + 2)]
+    ranks = [0]
     for k in range(spec.n + 1):
-        index = {e: r for r, e in enumerate(basis[k + 1])}
+        index = {el: r for r, el in enumerate(basis[k + 1])}
         M = gfp.zeros(len(basis[k + 1]), len(basis[k]))
         for c, (mono, I) in enumerate(basis[k]):
             form = DiffForm(spec, k, {I: AlgebraElement(spec, {mono: 1})})
-            dform = form.d()
-            for J, f in dform.terms.items():
+            for J, f in twisted_d(form, e).terms.items():
                 for m2, coeff in f.terms.items():
                     M[index[(m2, J)], c] = coeff
-        mats[k] = M
-    dims = []
-    for k in range(spec.n + 1):
-        up = gfp.rank(mats[k], p)
-        down = gfp.rank(mats[k - 1], p) if k > 0 else 0
-        dims.append(len(basis[k]) - up - down)
-    return dims
+        ranks.append(gfp.rank(M, spec.p))
+    return [len(basis[k]) - ranks[k + 1] - ranks[k] for k in range(spec.n + 1)]
 
 
 def test_d_examples():
@@ -148,8 +150,7 @@ def test_evaluate_matches_coordinates():
 def test_cohomology_dims_match_dense_oracle(p, heights):
     s = FlagSpec(p, heights)
     block = cohomology_dims(s)
-    dense = dense_complex_dims(s)
-    assert block == dense
+    assert block == dense_twisted_dims(s, [0] * s.n)
     assert block == [math.comb(s.n, k) for k in range(s.n + 1)]
 
 
@@ -286,31 +287,36 @@ def test_exp_and_z1_splitting_of_many_terms_at_p13():
 
 
 def test_twisted_acyclic_small_vs_dense():
-    # dense oracle: full twisted complex matrices on a small spec
-    for p, heights, e in [(3, (1,), [1]), (3, (1, 1), [1, 0]),
-                          (2, (2,), [1]), (3, (1, 1), [2, 1])]:
+    """The closed form against the dense oracle at every e in F_p^n, e = 0
+    included, and at vectors with entries outside [0, p)."""
+    cases = [(2, (1,)), (2, (1, 1)), (2, (2, 1)), (3, (1, 1)), (3, (1, 2)),
+             (5, (1, 1))]
+    for p, heights in cases:
         s = FlagSpec(p, heights)
-        basis = {k: [(m, I) for I in itertools.combinations(range(s.n), k)
-                     for m in s.monomials()] for k in range(s.n + 1)}
-        mats = {}
-        for k in range(s.n + 1):
-            tgt = basis.get(k + 1, [])
-            index = {el: r for r, el in enumerate(tgt)}
-            M = gfp.zeros(len(tgt), len(basis[k]))
-            for c, (mono, I) in enumerate(basis[k]):
-                form = DiffForm(s, k, {I: AlgebraElement(s, {mono: 1})})
-                out = twisted_d(form, e)
-                for J, f in out.terms.items():
-                    for m2, coeff in f.terms.items():
-                        M[index[(m2, J)], c] = coeff
-            mats[k] = M
-        dense = []
-        for k in range(s.n + 1):
-            up = gfp.rank(mats[k], p)
-            down = gfp.rank(mats[k - 1], p) if k > 0 else 0
-            dense.append(len(basis[k]) - up - down)
-        assert dense == twisted_cohomology_dims(s, e)
-        assert all(d == 0 for d in dense)
+        untwisted = [math.comb(s.n, k) for k in range(s.n + 1)]
+        for e in itertools.product(range(p), repeat=s.n):
+            dims = twisted_cohomology_dims(s, e)
+            assert dims == dense_twisted_dims(s, e)
+            assert dims == (untwisted if not any(e) else [0] * (s.n + 1))
+    s = FlagSpec(3, (1, 1))
+    for e, dims in [([-2, 4], [0, 0, 0]), ([3, -6], [1, 2, 1])]:
+        assert twisted_cohomology_dims(s, e) == dense_twisted_dims(s, e) == dims
+
+
+def test_forms_api_rejects_bad_indices():
+    """A twisting or u-class vector of the wrong length, and a wedge index
+    outside 0..n-1, raise ValueError instead of being cut or ignored."""
+    s = FlagSpec(3, (1, 1))
+    for e in ([1], [0, 0, 5], [1, 0, 2]):
+        with pytest.raises(ValueError):
+            twisted_cohomology_dims(s, e)
+        with pytest.raises(ValueError):
+            e_vector_form(s, e)
+    one = AlgebraElement.one(s)
+    for I in [(5,), (-1,), (0, 2), (-1, 1)]:
+        with pytest.raises(ValueError, match="bad wedge index tuple"):
+            DiffForm(s, len(I), {I: one})
+    assert render_form(DiffForm(s, 2, {(0, 1): one})) == "dx1^dx2"
 
 
 def test_render_form():
