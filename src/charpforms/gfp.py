@@ -21,21 +21,17 @@ to end.  `nullspace` eliminates once, on the matrix with its columns
 reversed: the basis read off that rref, reversed back, is already the
 canonical rref of the kernel.
 
-Inside `memo_scope()` (one type-1 classification call enters it once),
-`rank`, `nullspace`, `solve_rows`, `make_factor` and the block elimination
-`_zassenhaus` answer a repeated call from one table, keyed by the bytes,
-shape and dtype of their array arguments: the grind asks the same small
-questions about the same canonical subspaces many times over.  Results
-from the table are shared, so their arrays are read-only.  The table lives
-only as long as the outermost scope and has no size bound to tune; outside
-a scope every function computes afresh.
+Trivial subspace questions are answered in closed form, with no
+elimination: the image of 0 in a factor is 0 and that of the whole space is
+the whole factor (`Factor.image_of`), the factor sup/0 has the section sup
+and sup/sup an empty one (`make_factor`), and every space lies in the whole
+space (`subspace_leq`).  Most of the questions the type-1 grind asks are of
+this kind.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,57 +77,6 @@ def inv_scalar(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 is not invertible mod p")
     return _inverse_table(p)[a]
-
-
-# ---------------------------------------------------------------------------
-# The memo of one classification call.
-# ---------------------------------------------------------------------------
-
-_memo: ContextVar[dict | None] = ContextVar("gfp_memo", default=None)
-_NONE = object()            # a stored None result
-
-
-@contextmanager
-def memo_scope():
-    """Share the answers of the memoised functions until the outermost
-    scope exits; a nested scope reuses the outer table."""
-    if _memo.get() is not None:
-        yield
-        return
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _freeze(out):
-    if isinstance(out, np.ndarray):
-        out.flags.writeable = False
-    elif isinstance(out, Factor):
-        for A in (out.sub, out.sup, out.section):
-            A.flags.writeable = False
-    return out
-
-
-def _memoised(fn):
-    """Answer fn from the table of the active `memo_scope`, if any.  An
-    array argument keys by (shape, dtype, bytes), anything else by value."""
-    name = fn.__name__
-
-    @wraps(fn)
-    def wrapper(*args):
-        memo = _memo.get()
-        if memo is None:
-            return fn(*args)
-        key = (name, *[(a.shape, a.dtype, a.tobytes())
-                       if isinstance(a, np.ndarray) else a for a in args])
-        out = memo.get(key)
-        if out is None:
-            out = _freeze(fn(*args))
-            memo[key] = _NONE if out is None else out
-        return None if out is _NONE else out
-    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +205,6 @@ def row_space(A, p: int) -> np.ndarray:
     return R[: len(pivots)]
 
 
-@_memoised
 def rank(A, p: int) -> int:
     rows, n = _rows(A, p)
     return len(_eliminate(rows, n, p))
@@ -274,7 +218,6 @@ def full_space(n: int) -> np.ndarray:
     return eye(n)
 
 
-@_memoised
 def nullspace(A, p: int) -> np.ndarray:
     """Canonical basis (rref) of {x : A @ x = 0}, from one elimination.
 
@@ -315,7 +258,6 @@ def _nullspace_large(A: np.ndarray, p: int) -> np.ndarray:
     return N
 
 
-@_memoised
 def solve_rows(B, V, p: int) -> np.ndarray | None:
     """Coefficients c with c @ B = v for each row v of V, from one elimination.
 
@@ -373,7 +315,6 @@ def subspace_sum(A, B, p: int) -> np.ndarray:
     return row_space(np.concatenate([A, B], axis=0), p)
 
 
-@_memoised
 def _zassenhaus(A, B, C, p: int) -> np.ndarray:
     """Canonical basis (rref) of {x @ B : x @ A in the row space of C}.
 
@@ -402,7 +343,7 @@ def subspace_intersection(A, B, p: int) -> np.ndarray:
 
 def subspace_leq(A, B, p: int) -> bool:
     """A subseteq B, both rref."""
-    if A.shape[0] == 0:
+    if A.shape[0] == 0 or B.shape[0] == B.shape[1]:
         return True
     return rank(np.concatenate([B, A], axis=0), p) == B.shape[0]
 
@@ -487,14 +428,24 @@ class Factor:
     def image_of(self, S: np.ndarray) -> np.ndarray:
         """Image of a subspace S: ((S ∩ sup) + sub)/sub, in factor coords,
         the projections x @ sup @ P^T of the x @ sup in S (Zassenhaus on
-        (sup, sup @ P^T, S))."""
+        (sup, sup @ P^T, S)).  The rows of S are independent, so its row
+        count alone tells 0 (image 0) and the whole space (image the whole
+        factor)."""
+        if S.shape[0] == 0:
+            return empty_space(self.dim)
+        if S.shape[0] == S.shape[1]:
+            return full_space(self.dim)
         return _zassenhaus(self.sup, self._sup_coords, S, self.p)
 
 
-@_memoised
 def make_factor(sub, sup, p: int) -> Factor:
     """The factor sup/sub; sub ⊆ sup must both be rref without zero rows
-    (as `row_space`, `nullspace` and the flags return them)."""
+    (as `row_space`, `nullspace` and the flags return them).  Then the
+    section of sup/0 is sup itself, and that of sup/sup is empty."""
+    if sub.shape[0] == 0:
+        return Factor(sub, sup, sup, p)
+    if sub.shape[0] == sup.shape[0]:
+        return Factor(sub, sup, empty_space(sup.shape[1]), p)
     return Factor(sub, sup, quotient_section(sub, sup, p), p)
 
 
@@ -616,12 +567,11 @@ def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
     A source class lifts to a representative in mu^{-1}(upper U space) +
     lower V space; the lower-V part is stripped so the representative
     genuinely lies in mu^{-1}(upper U space) ∩ (upper V space) before
-    pushing through mu and reading the class in the target factor.
+    pushing through mu and reading the class in the target factor.  That
+    the map is square and invertible is checked by the caller.
     """
     sf = src_flag.factor(l)
     df = dst_flag.factor(k)
-    if sf.dim != df.dim:
-        raise ValueError("mismatched factors")
     fac_V = flag_V.factor(k)
     fac_U = flag_U.factor(l)
     lift = modp(sf.section @ fac_V.section, p)                 # rows in V
@@ -630,10 +580,7 @@ def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
     moved = modp(fixed @ modp(mu, p).T, p)                     # rows in U-sup
     inner = fac_U.project_vectors(moved)                       # rows in Φ_l F_U
     out_rows = df.project_vectors(inner)
-    M = out_rows.T                                             # column convention
-    if not is_invertible(M, p):
-        raise ValueError("induced map is not invertible")
-    return M
+    return out_rows.T                                          # column convention
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ def _check_pairings(cells: dict, pairing: dict, p: int) -> None:
                "pairing has the wrong shape")
         ensure(np.array_equal(pairing[cell.partner], modp(-P.T, p)),
                "pairing is not antisymmetric")
-        ensure(is_invertible(P, p), "pairing is degenerate")
+        if x <= cell.partner:           # -P^T, the partner's, is checked here
+            ensure(is_invertible(P, p), "pairing is degenerate")
         if cell.partner == x:
             ensure(not np.any(np.diagonal(P)), "self-pairing is not alternating")
 
@@ -232,9 +233,11 @@ def _pair(cells: dict, cell_of: dict, pieces: dict, piece_of: dict,
     the parent pairing on X.  Cells of a tagged parent stay tagged, and so
     does a factor whose partner piece is missing: only the forced radical
     of a degenerate starting c lacks it, at the top label.
+    Each cell's lift is computed once and read on both sides of its pair.
     Returns the new pairings.
     """
-    out = {}
+    lifts: dict = {}
+    partner_of: dict = {}
     for (x, t), y in cell_of.items():
         piece = pieces[x]
         X, q = piece.parent, piece.label
@@ -248,12 +251,12 @@ def _pair(cells: dict, cell_of: dict, pieces: dict, piece_of: dict,
             continue
         y2 = cell_of.get((x2, q))
         ensure(y2 is not None, "partner piece lacks the matching factor")
-        L1 = _corrected_pair_lift(piece, t, p)
-        L2 = _corrected_pair_lift(pieces[x2], q, p)
-        P = modp(L1 @ pairing[X] @ L2.T, p)
-        ensure(is_invertible(P, p), "new pairing degenerate")
+        lifts[y] = _corrected_pair_lift(piece, t, p)
+        partner_of[y] = (y2, X)
+    out = {}
+    for y, (y2, X) in partner_of.items():
         cells[y].partner = y2
-        out[y] = P
+        out[y] = modp(lifts[y] @ pairing[X] @ lifts[y2].T, p)
     return out
 
 
@@ -317,9 +320,9 @@ class QuiverRep:
 
 
 def extract_quiver_rep(A: AState) -> QuiverRep:
-    """Read the symplectic quiver representation off a primitive state."""
+    """Read the symplectic quiver representation off a primitive state that
+    `AState.check` has passed (`grind_B_to_A` checks every state it makes)."""
     ensure(A.is_primitive(), "state is not primitive")
-    A.check()
     p = A.p
     nodes = sorted(vid for vid in A.v if A.v[vid].dim > 0)
     single = {}
@@ -397,9 +400,6 @@ class Indecomposable:
     bottom: tuple
     endo: tuple | None       # prime-power polynomial for cycles, else None
     kind: str = field(compare=False, default="")
-
-    def weight(self) -> int:
-        return sum(self.top) + sum(self.bottom)
 
 
 def canonical_pair_label(periodic: bool, top, bottom):
@@ -615,13 +615,9 @@ def _ind_sort_key(ind: Indecomposable):
 
 
 def classify_type1_matrices(p: int, heights, b, c) -> Counter:
-    """Full pipeline: object, grind, extract, decompose, in one memo scope
-    (the stages repeat the same subspace operations many times)."""
-    with gfp.memo_scope():
-        A = build_type1_object(p, heights, b, c)
-        prim = grind_to_primitive(A)
-        rep = extract_quiver_rep(prim)
-        return decompose_rep(rep)
+    """Full pipeline: object, grind, extract, decompose."""
+    A = build_type1_object(p, heights, b, c)
+    return decompose_rep(extract_quiver_rep(grind_to_primitive(A)))
 
 
 def descriptor_weight_catalog(p: int, max_weight: int = 4, max_entry: int = 2,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charpforms import cli, flagbilinear
+from charpforms import cli, flagbilinear, gfp
 from charpforms.algebra import AlgebraElement, FlagSpec
 from charpforms.classify import (SymplecticCandidate, invariants,
                                  normal_shape, random_form)
@@ -302,6 +302,19 @@ def test_cli_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal check failed: grinding lost dimensions\n"
+
+
+def test_cli_singular_induced_map_exits_3(tmp_path, monkeypatch, capsys):
+    """A singular induced map inside the grind can only come from a fault
+    in the program, so `invariants` exits 3, not 2 (malformed input)."""
+    path = write_form(tmp_path, random_form("type1", FlagSpec(3, (1, 2)), 1))
+    monkeypatch.setattr(gfp.Factor, "project_vectors",
+                        lambda self, vecs: gfp.zeros(len(vecs), self.dim))
+    assert main(["invariants", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            "nu is not an isomorphism of factors\n")
 
 
 def test_cli_crash_exits_3(tmp_path, monkeypatch, capsys):

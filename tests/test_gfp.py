@@ -13,7 +13,7 @@ from charpforms.gfp import (
     induced_iso, inverse, irreducibles, make_factor, make_flag, modp,
     nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
     preimage_rows, quotient_section, rank, read_flag, row_space, rref,
-    solve_rows, subspace_intersection, subspace_sum,
+    solve_rows, subspace_intersection, subspace_leq, subspace_sum,
 )
 
 
@@ -307,8 +307,8 @@ def _factors(rng, n, p):
 
 @pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
 def test_block_elimination_ops_match_compositions(p):
-    """subspace_intersection, Factor.image_of, preimage_rows and the
-    Q-coordinate flag of a contact pair equal the rref that the old
+    """subspace_intersection, subspace_leq, Factor.image_of, preimage_rows
+    and the Q-coordinate flag of a contact pair equal the rref that the old
     compositions gave, on empty and full spaces, zero and full factors and
     singular and rectangular maps."""
     rng = random.Random(100 + p)
@@ -316,8 +316,11 @@ def test_block_elimination_ops_match_compositions(p):
         subs = _subspaces(rng, n, p)
         for U in subs:
             for W in subs:
-                assert np.array_equal(subspace_intersection(U, W, p), _meet(U, W, p))
+                meet = _meet(U, W, p)
+                assert np.array_equal(subspace_intersection(U, W, p), meet)
+                assert subspace_leq(U, W, p) == np.array_equal(meet, U)
         for fac in _factors(rng, n, p):
+            assert np.array_equal(fac.section, quotient_section(fac.sub, fac.sup, p))
             for S in subs:
                 img = fac.image_of(S)
                 assert img.shape[1] == fac.dim
@@ -489,47 +492,3 @@ def test_det():
         assert gfp.is_invertible(A, p) == invertible
         seen.add(invertible)
     assert seen == {True, False}
-
-
-def test_memo_shares_read_only_results():
-    A = np.array([[1, 2, 0], [2, 4, 0]])
-    with gfp.memo_scope():
-        N = nullspace(A, 3)
-        assert nullspace(A.copy(), 3) is N
-        with pytest.raises(ValueError):
-            N[0, 0] = 1
-        fac = make_factor(empty_space(3), row_space(A, 3), 3)
-        with pytest.raises(ValueError):
-            fac.section[0, 0] = 2
-        v = np.array([0, 0, 1])
-        assert solve_rows(A, v, 3) is None
-        assert solve_rows(A, v, 3) is None       # the stored None
-        assert rank(A, 3) == rank(A.copy(), 3) == 1
-    assert gfp._memo.get() is None
-    assert nullspace(A, 3).flags.writeable
-    assert nullspace(A, 3) is not nullspace(A, 3)
-
-
-def test_memo_nested_scopes_share_one_table():
-    A = np.array([[1, 1], [0, 0]])
-    with gfp.memo_scope():
-        outer = gfp._memo.get()
-        with gfp.memo_scope():
-            assert gfp._memo.get() is outer
-            N = nullspace(A, 5)
-        assert gfp._memo.get() is outer
-        assert nullspace(A, 5) is N
-    assert gfp._memo.get() is None
-
-
-@pytest.mark.parametrize("fail, exc", [
-    (lambda: gfp.ensure(False, "lost a dimension"), gfp.CheckFailed),
-    (lambda: inverse(gfp.zeros(2, 2), 3), ValueError)])
-def test_memo_dropped_when_an_error_propagates(fail, exc):
-    with pytest.raises(exc):
-        with gfp.memo_scope():
-            with gfp.memo_scope():
-                rank(eye(2), 3)
-                assert gfp._memo.get()
-                fail()
-    assert gfp._memo.get() is None

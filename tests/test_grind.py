@@ -249,24 +249,6 @@ def test_grind_preserves_dims_and_rep_axioms():
             assert total == n
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 13])
-def test_memo_scope_gives_the_unscoped_descriptors(p):
-    """classify_type1_matrices runs its four stages in one memo scope; the
-    same stages called outside any scope give equal descriptors, for every
-    catalog entry alone and paired with a seeded partner."""
-    cat = descriptor_weight_catalog(p, max_weight=4, max_entry=2, max_endo_deg=2)
-    rng = random.Random(700 + p)
-    descs = [Counter([ind]) for ind in cat] + \
-        [Counter([ind, rng.choice(cat)]) for ind in cat]
-    for desc in descs:
-        heights, a, c = synthesize_descriptor_matrices(desc, p)
-        scoped = classify_type1_matrices(p, heights, a, c)
-        assert gfp._memo.get() is None
-        rep = extract_quiver_rep(grind_to_primitive(build_type1_object(p, heights, a, c)))
-        assert scoped == decompose_rep(rep), dict(desc)
-
-
-def test_memo_dropped_when_classification_fails():
-    with pytest.raises(ValueError):
+def test_classification_rejects_a_degenerate_constant_part():
+    with pytest.raises(ValueError, match="constant part is degenerate"):
         classify_type1_matrices(3, (1, 1), gfp.zeros(2, 2), gfp.zeros(2, 2))
-    assert gfp._memo.get() is None

@@ -5,8 +5,10 @@ and so are `from __future__` imports.  No top-level function or class of
 the package is dead code: a private one is read somewhere in `src/`
 outside its own definition, so a helper whose only callers are tests
 fails; a public one is read somewhere in `src/`, `tests/`, `demos/` or
-`perfbench/`, so importing it is not enough."""
+`perfbench/`, so importing it is not enough.  The same holds for the
+public methods of the package's classes, matched by attribute name."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,34 @@ def test_scan_finds_an_unread_public_def():
     assert unread_defs(sources, readers, private=False) == ["a:self_only", "a:Dead"]
 
 
+def _attribute_reads(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unread_methods(sources: dict, readers: dict) -> list[str]:
+    """`module:Class.name` of each public method of a top-level class of
+    sources whose name no attribute of readers reads outside that method;
+    both map module names to source text, and readers include sources."""
+    reads = sum((_attribute_reads(ast.parse(src)) for src in readers.values()),
+                Counter())
+    return [f"{mod}:{cls.name}.{node.name}" for mod, cls in _tops(sources)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and reads[node.name] == _attribute_reads(node)[node.name]]
+
+
+def test_scan_finds_an_unread_public_method():
+    sources = {"a": "class A:\n"
+                    "    def used(self):\n        return self.helper()\n"
+                    "    def helper(self):\n        return 1\n"
+                    "    def self_only(self):\n        return self.self_only()\n"
+                    "    @property\n    def dead(self):\n        return 0\n"
+                    "    def _private(self):\n        pass\n"
+                    "    def __len__(self):\n        return 0\n"}
+    readers = dict(sources, t="def test(a):\n    assert a.used() and len(a)\n")
+    assert unread_methods(sources, readers) == ["a:A.self_only", "a:A.dead"]
+
+
 def _texts(tops) -> dict:
     return {str(path.relative_to(ROOT)): path.read_text()
             for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
@@ -95,7 +125,9 @@ def test_no_unread_private_defs():
 
 
 def test_no_unread_public_defs():
-    """Each public function or class of src/ is read somewhere in src/,
-    tests/, demos/ or perfbench/."""
+    """Each public function, class or method of src/ is read somewhere in
+    src/, tests/, demos/ or perfbench/."""
+    src = _texts(["src"])
     readers = _texts(["src", "tests", "demos", "perfbench"])
-    assert unread_defs(_texts(["src"]), readers, private=False) == []
+    assert unread_defs(src, readers, private=False) == []
+    assert unread_methods(src, readers) == []
