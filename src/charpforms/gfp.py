@@ -21,12 +21,19 @@ to end.  `nullspace` eliminates once, on the matrix with its columns
 reversed: the basis read off that rref, reversed back, is already the
 canonical rref of the kernel.
 
-Trivial subspace questions are answered in closed form, with no
-elimination: the image of 0 in a factor is 0 and that of the whole space is
-the whole factor (`Factor.image_of`), the factor sup/0 has the section sup
-and sup/sup an empty one (`make_factor`), and every space lies in the whole
-space (`subspace_leq`).  Most of the questions the type-1 grind asks are of
-this kind.
+Trivial subspace questions are read off row counts, with no elimination:
+an rref subspace of F_p^n with k rows is 0 when k = 0 and everything when
+k = n.  So A ∩ B is A when B is everything or A is 0, and B in the mirror
+cases (`subspace_intersection`); every space lies in everything
+(`subspace_leq`); the preimage of everything and the orthogonal of 0 are
+everything (`preimage_rows`, `orthogonal_subspace`); the image of 0 in a
+factor is 0 and that of everything is the whole factor (`Factor.image_of`);
+sup/0 has the section sup and sup/sup an empty one (`make_factor`), so the
+factor everything/0 projects by the identity (`Factor._projection_t`); and
+the S-part of v is v when S is everything, since the solve against
+[I; sub] puts every pivot in the I block and leaves the sub coefficients
+free, hence 0 (`component_in`).  Most of the questions the type-1 grind
+asks are of this kind.
 """
 from __future__ import annotations
 
@@ -338,6 +345,10 @@ def subspace_intersection(A, B, p: int) -> np.ndarray:
     """A ∩ B: {x @ A : x @ A in B} (Zassenhaus)."""
     if A.shape[1] != B.shape[1]:
         raise ValueError("ambient dimension mismatch")
+    if B.shape[0] == B.shape[1] or A.shape[0] == 0:
+        return A
+    if A.shape[0] == A.shape[1] or B.shape[0] == 0:
+        return B
     return _zassenhaus(A, A, B, p)
 
 
@@ -352,6 +363,8 @@ def preimage_rows(M, S, p: int) -> np.ndarray:
     """Row basis of {v : M @ v in row space of S}: the rows x of the identity
     with x @ M^T in S (Zassenhaus on (M^T, I, S)); M may be singular or
     rectangular."""
+    if S.shape[0] == S.shape[1]:
+        return full_space(M.shape[1])
     M = modp(M, p)
     return _zassenhaus(M.T, eye(M.shape[1]), S, p)
 
@@ -359,6 +372,8 @@ def preimage_rows(M, S, p: int) -> np.ndarray:
 def component_in(S, sub, V, p: int) -> np.ndarray:
     """The S-parts of the rows v of V, each written as v = s + u with s in S
     and u in sub (solved against [S; sub] with free coordinates zero)."""
+    if S.shape[0] == S.shape[1]:
+        return modp(V, p)
     coeffs = solve_rows(np.concatenate([S, sub], axis=0), V, p)
     ensure(coeffs is not None, "vectors outside S + sub")
     return modp(coeffs[:, : S.shape[0]] @ S, p)
@@ -410,6 +425,8 @@ class Factor:
         lies in span(section), where the coordinates are the entries at t:
         P = I[t] - sub[:, t]^T @ I[s].
         """
+        if self.dim == self.sub.shape[1]:
+            return eye(self.dim)
         s, t = _pivots(self.sub), _pivots(self.section)
         Pt = zeros(self.sub.shape[1], self.dim)
         Pt[t, np.arange(self.dim)] = 1
@@ -428,9 +445,7 @@ class Factor:
     def image_of(self, S: np.ndarray) -> np.ndarray:
         """Image of a subspace S: ((S ∩ sup) + sub)/sub, in factor coords,
         the projections x @ sup @ P^T of the x @ sup in S (Zassenhaus on
-        (sup, sup @ P^T, S)).  The rows of S are independent, so its row
-        count alone tells 0 (image 0) and the whole space (image the whole
-        factor)."""
+        (sup, sup @ P^T, S))."""
         if S.shape[0] == 0:
             return empty_space(self.dim)
         if S.shape[0] == S.shape[1]:
@@ -440,8 +455,7 @@ class Factor:
 
 def make_factor(sub, sup, p: int) -> Factor:
     """The factor sup/sub; sub ⊆ sup must both be rref without zero rows
-    (as `row_space`, `nullspace` and the flags return them).  Then the
-    section of sup/0 is sup itself, and that of sup/sup is empty."""
+    (as `row_space`, `nullspace` and the flags return them)."""
     if sub.shape[0] == 0:
         return Factor(sub, sup, sup, p)
     if sub.shape[0] == sup.shape[0]:
@@ -528,6 +542,8 @@ def orthogonal_subspace(b, M, p: int) -> np.ndarray:
     b = modp(b, p)
     if M.shape[1] != b.shape[1]:
         raise ValueError("dimension mismatch")
+    if M.shape[0] == 0:
+        return full_space(b.shape[0])
     return nullspace(M @ b.T, p)
 
 
@@ -748,16 +764,13 @@ def elementary_divisors(h, p: int) -> list[tuple]:
     degree), and its column d expresses h^d in the lower powers.  The rest
     is read off ranks: for each irreducible factor q of it, with r_k = rank
     q(h)^k, there are (r_{k-1} - 2 r_k + r_{k+1}) / deg q summands
-    F_p[x]/q^k; r_k stops falling at the exponent e of q in the minimal
-    polynomial.  Singular input is rejected (the classification pipeline
-    only ever needs nonsingular endomorphisms).
+    F_p[x]/q^k, the factor x of a singular h included; r_k stops falling at
+    the exponent e of q in the minimal polynomial.
     """
     h = modp(h, p)
     n = h.shape[0]
     if h.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n and not is_invertible(h, p):
-        raise ValueError("matrix is singular")
     powers = [eye(n)]
     for _ in range(n):
         powers.append(modp(h @ powers[-1], p))

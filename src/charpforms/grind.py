@@ -139,7 +139,8 @@ def build_type1_object(p: int, heights, b, c) -> AState:
         raise ValueError("constant part is degenerate")
     if not (gfp.is_alternating(b, p) and gfp.is_alternating(c, p)):
         raise ValueError("forms must be antisymmetric with zero diagonal")
-    flag = make_flag(n, "inc", height_spaces(heights), p)
+    flag = FlagChain("inc", height_spaces(heights) + (full_space(n),), p)
+    flag.check()
     st = AState(
         p=p, parity=0,
         v={0: Cell(n, None, flag, 0)},

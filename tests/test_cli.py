@@ -4,13 +4,14 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charpforms import cli, flagbilinear, gfp
+from charpforms import cli, flagbilinear, gfp, grind
 from charpforms.algebra import AlgebraElement, FlagSpec
 from charpforms.classify import (SymplecticCandidate, invariants,
                                  normal_shape, random_form)
@@ -315,6 +316,20 @@ def test_cli_singular_induced_map_exits_3(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("error: internal check failed: "
                             "nu is not an isomorphism of factors\n")
+
+
+def test_cli_singular_cycle_map_exits_3(tmp_path, monkeypatch, capsys):
+    """A singular cycle map can only come from a fault in the program, so
+    `invariants` exits 3, not 2 (malformed input)."""
+    desc = Counter({grind.Indecomposable(True, (1,), (1,), (1, 1)): 1})
+    path = write_form(tmp_path, normal_shape(desc, 3))
+    monkeypatch.setattr(grind, "_walk_map",
+                        lambda rep, start, steps: gfp.zeros(rep.dim[start], rep.dim[start]))
+    assert main(["invariants", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            "cycle endomorphism is singular\n")
 
 
 def test_cli_crash_exits_3(tmp_path, monkeypatch, capsys):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from charpforms import gfp
 from charpforms.flagbilinear import coordinate_flag
 from charpforms.gfp import (
-    companion, elementary_divisors, empty_space, eye, full_space,
-    induced_iso, inverse, irreducibles, make_factor, make_flag, modp,
-    nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
+    CheckFailed, companion, component_in, elementary_divisors, empty_space,
+    eye, full_space, induced_iso, inverse, irreducibles, make_factor,
+    make_flag, modp, nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
     preimage_rows, quotient_section, rank, read_flag, row_space, rref,
     solve_rows, subspace_intersection, subspace_leq, subspace_sum,
 )
@@ -152,6 +152,10 @@ def test_orthogonal_examples():
     b = np.array([[0, 1], [1, 0]])  # alternating over F_2
     e1 = row_space(np.array([[1, 0]]), p)
     assert np.array_equal(orthogonal_subspace(b, e1, p), e1)
+    # the orthogonal of 0 is everything, for a rectangular pairing too
+    for m, k in ((3, 2), (2, 3), (0, 2), (2, 0)):
+        b = gfp.random_matrix(random.Random(m + k), m, k, p)
+        assert np.array_equal(orthogonal_subspace(b, empty_space(k), p), full_space(m))
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
@@ -340,6 +344,30 @@ def test_block_elimination_ops_match_compositions(p):
 
 
 @pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_component_in_matches_solve_rows(p):
+    """component_in(S, sub, V) equals the S-part read off solve_rows against
+    [S; sub], lies in S and differs from V by rows of sub, for S and sub 0,
+    everything or random; a row outside S + sub fails its check."""
+    rng = random.Random(400 + p)
+    for n in range(1, 6):
+        subs = _subspaces(rng, n, p)
+        for S in subs:
+            for sub in subs:
+                both = np.concatenate([S, sub])
+                V = modp(gfp.random_matrix(rng, 3, both.shape[0], p) @ both, p)
+                got = component_in(S, sub, V, p)
+                coeffs = solve_rows(both, V, p)
+                assert np.array_equal(got, modp(coeffs[:, :S.shape[0]] @ S, p))
+                assert solve_rows(S, got, p) is not None
+                assert solve_rows(sub, modp(V - got, p), p) is not None
+                span = row_space(both, p)
+                if span.shape[0] < n:
+                    outside = next(v for v in eye(n) if solve_rows(span, v, p) is None)
+                    with pytest.raises(CheckFailed):
+                        component_in(S, sub, np.vstack([V, outside]), p)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
 def test_transfer_via_iso_matches_move_then_restrict(p):
     """read_flag(F, target, k, mu) equals F moved by mu, then read in
     Φ_k(target) space by space, and read_flag with inverse(mu) equals the
@@ -462,11 +490,6 @@ def test_elementary_divisors_distinct_char_polys_differ():
     h1 = companion((1, 0, 1), p)   # x^2 + 1
     h2 = companion((2, 0, 1), p)   # x^2 + 2
     assert elementary_divisors(h1, p) != elementary_divisors(h2, p)
-
-
-def test_elementary_divisors_rejects_singular():
-    with pytest.raises(ValueError):
-        elementary_divisors(gfp.zeros(2, 2), 3)
 
 
 def test_pfactor_large_irreducible():

@@ -243,16 +243,46 @@ def _endomorphisms(rng, p):
             yield gfp.modp(g @ D @ gfp.inverse(g, p), p)
 
 
-@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
-def test_elementary_divisors_match_sympy(p):
+def _singular_endomorphisms(rng, p):
+    """Singular n x n matrices, n <= 7: conjugated block sums of a 1 x 1
+    zero, nilpotent Jordan blocks and unit Jordan blocks, some repeated."""
+    for _ in range(8):
+        blocks = []
+        while True:
+            a, k = rng.choice([0, 0, rng.randrange(1, p)]), rng.randrange(1, 4)
+            jordan = gfp.modp(a * gfp.eye(k) + np.eye(k, k, 1, dtype=np.int64), p)
+            copies = rng.choice((1, 2))
+            if sum(b.shape[0] for b in blocks) + copies * k > 6:
+                break
+            blocks += [jordan] * copies
+        blocks.append(gfp.zeros(1, 1))
+        D = _block_diag(blocks)
+        g = gfp.random_invertible(rng, D.shape[0], p)
+        yield gfp.modp(g @ D @ gfp.inverse(g, p), p)
+
+
+def _sympy_divisors(h, p):
     from sympy import GF, Matrix, eye, symbols
     from sympy.matrices.normalforms import invariant_factors
     x = symbols("x")
+    char = x * eye(h.shape[0]) - Matrix(h.tolist())
+    ref = []
+    for f in invariant_factors(char, domain=GF(p)[x]):
+        ref += [gfp.ppow(q, e, p) for q, e in _sympy_factors(f, x, p).items()]
+    return sorted(ref)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_elementary_divisors_match_sympy(p):
     rng = random.Random(500 + p)
     for h in _endomorphisms(rng, p):
-        n = h.shape[0]
-        char = x * eye(n) - Matrix(h.tolist())
-        ref = []
-        for f in invariant_factors(char, domain=GF(p)[x]):
-            ref += [gfp.ppow(q, e, p) for q, e in _sympy_factors(f, x, p).items()]
-        assert gfp.elementary_divisors(h, p) == sorted(ref), h.tolist()
+        assert gfp.elementary_divisors(h, p) == _sympy_divisors(h, p), h.tolist()
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_elementary_divisors_of_singular_match_sympy(p):
+    """The rank formula also counts the powers of the factor x."""
+    rng = random.Random(600 + p)
+    assert gfp.elementary_divisors(gfp.zeros(2, 2), p) == [(0, 1), (0, 1)]
+    for h in _singular_endomorphisms(rng, p):
+        assert gfp.elementary_divisors(h, p) == _sympy_divisors(h, p), h.tolist()

@@ -11,7 +11,7 @@ from charpforms.grind import (
     Indecomposable, build_type1_object, canonical_pair_label,
     classify_type1_matrices, decompose_rep, descriptor_equal,
     descriptor_weight_catalog, extract_quiver_rep, grind_to_primitive,
-    self_paired_divisors, synthesize_descriptor_matrices,
+    height_spaces, self_paired_divisors, synthesize_descriptor_matrices,
     synthesize_normal_matrices,
 )
 
@@ -37,6 +37,23 @@ def test_build_examples():
     assert sorted(q for (_, q) in st2.nu) == [0, 1]
     with pytest.raises(ValueError):
         build_type1_object(3, (1, 1), gfp.zeros(2, 2), gfp.zeros(2, 2))
+
+
+def test_build_flag_is_the_height_flag():
+    """The starting flag takes the coordinate spaces as they are, with no
+    row reduction: they are the spaces of make_flag, dtype included."""
+    rng = random.Random(12)
+    for p in gfp.SUPPORTED_PRIMES:
+        for _ in range(5):
+            heights = tuple(rng.randrange(1, 5) for _ in range(2 * rng.randrange(1, 4)))
+            n = len(heights)
+            st = build_type1_object(p, heights, blkdiag(*[STD2] * (n // 2)),
+                                    gfp.zeros(n, n))
+            want = gfp.make_flag(n, "inc", height_spaces(heights), p)
+            for flag in (st.v[0].flag, st.w[0].flag):
+                assert flag.direction == "inc" and len(flag.spaces) == len(want.spaces)
+                for got, space in zip(flag.spaces, want.spaces):
+                    assert got.dtype == space.dtype and np.array_equal(got, space)
 
 
 def test_hand_example_c_zero():
