@@ -9,8 +9,8 @@ Products add packed digit keys (`_Keys`), one bit field per base-p digit of
 each exponent.  By Lucas and Kummer, C(a+b, a) is nonzero mod p exactly when
 no digit carries, and then it is wt(a+b) / (wt(a) wt(b)), wt the product of
 the digit factorials.  So products truncate exactly: an exponent past
-p^{m_i} needs a carry past digit m_i - 1.  The Pascal table `_binom_rows`
-serves only `mono_dp_coeff` and `multiplication_matrix`.
+p^{m_i} needs a carry past digit m_i - 1.  The binomials of `mono_dp_coeff`
+and `multiplication_matrix` use the same digit factorials (`_binom`).
 
 Divided powers f^(r) are computed in the free algebra (no exponent caps) and
 only then tested against the truncation; a result with an out-of-range
@@ -89,8 +89,7 @@ def mono_dp_coeff(alpha: Mono, r: int, p: int) -> int:
     (choose the block of the smallest unplaced element, j = r..1), an
     integer.  So with k coordinates a_i != 0, c = (r!)^{k-1} *
     prod_{a_i != 0} prod_{j=1..r} C(j*a_i - 1, a_i - 1), every binomial from
-    the one table `_binom`.  For alpha = 0, c = 1/r!, which exists mod p
-    only for r < p.
+    `_binom`.  For alpha = 0, c = 1/r!, which exists mod p only for r < p.
     """
     nonzero = [a for a in alpha if a]
     fact = math.factorial(r) % p
@@ -105,32 +104,24 @@ def mono_dp_coeff(alpha: Mono, r: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _binom_rows(p: int) -> tuple:
-    """(R, B): B is the largest power of p up to 256 and R[s][a] = C(s, a)
-    mod p for a <= s < B, one bytes row per s built by Pascal's rule.  Every
-    binomial of `mono_dp_coeff` and `multiplication_matrix` comes from here,
-    and its size depends on p only (at most 256 rows)."""
-    B = p
-    while B * p <= 256:
-        B *= p
-    rows = [b"\x01"]
-    for _ in range(B - 1):
-        prev = rows[-1]
-        rows.append(bytes([1, *((x + y) % p for x, y in zip(prev, prev[1:])), 1]))
-    return tuple(rows), B
+def _digit_factorials(p: int) -> tuple:
+    """(d! mod p, 1/d! mod p) for the digits d < p, one list each."""
+    fact = [math.factorial(d) % p for d in range(p)]
+    return fact, [inv_scalar(f, p) for f in fact]
 
 
 def _binom(s: int, a: int, p: int) -> int:
-    """C(s, a) mod p for 0 <= a <= s, by Lucas' theorem in base B."""
-    rows, B = _binom_rows(p)
+    """C(s, a) mod p for 0 <= a <= s, by Lucas' theorem: the product of
+    s_i! / (a_i! (s_i - a_i)!) over the base-p digits, 0 when a digit of a
+    exceeds that of s."""
+    fact, inv = _digit_factorials(p)
     c = 1
-    while s >= B:
-        s, sd = divmod(s, B)
-        a, ad = divmod(a, B)
+    while a:
+        (s, sd), (a, ad) = divmod(s, p), divmod(a, p)
         if ad > sd:
             return 0
-        c = c * rows[sd][ad] % p
-    return c * rows[s][a] % p
+        c = c * fact[sd] * inv[ad] * inv[sd - ad] % p
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +150,7 @@ class _Keys:
         self.p, self.digits, self.w = p, digits, p.bit_length() + 1
         ones = sum(1 << self.w * i for i in range(sum(digits)))
         self.K, self.H = ones * ((1 << self.w - 1) - p), ones << self.w - 1
-        self.fact = [math.factorial(d) % p for d in range(p)]
+        self.fact = _digit_factorials(p)[0]
         self.enc, self.dec = {}, {}
 
     def encode(self, mono: Mono):

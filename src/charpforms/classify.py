@@ -383,7 +383,7 @@ def _grid_heights(inv, contact: bool):
     invariants of a form."""
     try:
         grid = np.asarray(inv.grid, dtype=np.int64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FormatError("grid", "not an integer matrix") from None
     if grid.ndim != 2 or not grid_ok(grid, grid.sum(axis=1), nondegenerate=True):
         raise FormatError("grid", "must be square, symmetric and nonnegative "

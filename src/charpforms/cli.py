@@ -154,8 +154,9 @@ def cmd_flag_invariants(args) -> int:
                                 and _ints(row) for row in mat):
         raise FormatError("matrix", f"expected {n} integer rows of length {n} "
                                     f"(the last flag dimension)")
+    b = np.array([[x % p for x in row] for row in mat], dtype=np.int64)
     try:
-        fb = flagged_from_dims(p, dims, np.array(mat, dtype=np.int64).reshape(n, n))
+        fb = flagged_from_dims(p, dims, b.reshape(n, n))
     except ValueError as ex:            # the only check left: b alternating
         raise FormatError("matrix", str(ex))
     grid = invariants_nqt(fb)

@@ -487,13 +487,17 @@ class FlagChain:
     def ambient_dim(self) -> int:
         return self.spaces[-1].shape[1]
 
+    def bounds(self, q: int) -> tuple:
+        """(sub, sup) of Φ_q: (S_q, S_{q+1}) increasing, (S_{q+1}, S_q)
+        decreasing."""
+        low, high = self.spaces[q], self.spaces[q + 1]
+        return (low, high) if self.direction == "inc" else (high, low)
+
     @cached_property
     def factors(self) -> tuple:
         """Φ_0, ..., Φ_L."""
-        low, high = self.spaces[:-1], self.spaces[1:]
-        if self.direction == "dec":
-            low, high = high, low
-        return tuple(make_factor(sub, sup, self.p) for sub, sup in zip(low, high))
+        return tuple(make_factor(*self.bounds(q), self.p)
+                     for q in range(len(self.spaces) - 1))
 
     @cached_property
     def labels(self) -> tuple:
@@ -573,30 +577,6 @@ def read_flag(F: FlagChain, target: FlagChain, k: int, mu=None) -> FlagChain:
     flag = FlagChain(F.direction, spaces, F.p)
     flag.check()
     return flag
-
-
-def induced_iso(mu, flag_V: FlagChain, flag_U: FlagChain, src_flag: FlagChain,
-                dst_flag: FlagChain, k: int, l: int, p: int) -> np.ndarray:
-    """The through map Φ_l(src_flag) -> Φ_k(dst_flag), for the transferred
-    flags src_flag = (mu^{-1}F_U)_{Φ_k F_V} and dst_flag = (mu F_V)_{Φ_l F_U}.
-
-    A source class lifts to a representative in mu^{-1}(upper U space) +
-    lower V space; the lower-V part is stripped so the representative
-    genuinely lies in mu^{-1}(upper U space) ∩ (upper V space) before
-    pushing through mu and reading the class in the target factor.  That
-    the map is square and invertible is checked by the caller.
-    """
-    sf = src_flag.factor(l)
-    df = dst_flag.factor(k)
-    fac_V = flag_V.factor(k)
-    fac_U = flag_U.factor(l)
-    lift = modp(sf.section @ fac_V.section, p)                 # rows in V
-    pre = preimage_rows(mu, fac_U.sup, p)                      # mu^{-1}(upper U)
-    fixed = component_in(pre, fac_V.sub, lift, p)
-    moved = modp(fixed @ modp(mu, p).T, p)                     # rows in U-sup
-    inner = fac_U.project_vectors(moved)                       # rows in Φ_l F_U
-    out_rows = df.project_vectors(inner)
-    return out_rows.T                                          # column convention
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ each side: split every cell into its flag factors, transferring the
 partner's flag through the pairing (`_split`, the orthogonal step); split
 every factor by that flag, moving the matched factor's flag through the
 isomorphism (`_refine`, the iso step); and pair the new cells through the
-parent pairing (`_pair`).  Rounds repeat until every flag is trivial.  The
-primitive limit is a symplectic quiver representation: nodes with
-nondegenerate pairings b, an involution tau, a partial successor map sigma,
-and isomorphisms h solving b_{sigma P}(h u, v) = c_{rho P}(nu u, nu v).  Its
-decomposition into indecomposables (chains, hyperbolic chains, split and
-self-paired cycles) yields the descriptor: a multiset of labelled pieces,
-with a prime-power endomorphism invariant on the cycles, read off the
-elementary divisors of the whole cycle map (halved on a self-paired cycle,
-see `self_paired_divisors`).
+parent pairing (`_pair`).  The new pairings and the new nu maps are read
+on honest representatives, all from one routine (`_lift`): the naive lift
+of a factor, less its part in the window's sub, solved against the space
+the factor was read from (the orthogonal flag's space for a pairing, the
+preimage under mu of the matched factor's sup for nu).  Rounds repeat
+until every flag is trivial.  The primitive limit is a symplectic quiver
+representation: nodes with nondegenerate pairings b, an involution tau, a
+partial successor map sigma, and isomorphisms h solving b_{sigma P}(h u, v)
+= c_{rho P}(nu u, nu v).  Its decomposition into indecomposables (chains,
+hyperbolic chains, split and self-paired cycles) yields the descriptor: a
+multiset of labelled pieces, with a prime-power endomorphism invariant on
+the cycles, read off the elementary divisors of the whole cycle map (halved
+on a self-paired cycle, see `self_paired_divisors`).
 """
 from __future__ import annotations
 
@@ -191,21 +195,20 @@ def grind_A_to_B(A: AState) -> BState:
     return BState(r_pieces, s_pieces, mu, A, rid_of, sid_of)
 
 
-def _corrected_pair_lift(piece: Piece, t: int, p):
-    """Representatives of factor t of the piece's transferred flag inside
-    the honest intersection orth(partner space) ∩ window, as rows in the
-    parent cell.
+def _lift(flag: FlagChain, t: int, window: Factor, source, p: int):
+    """Honest representatives of factor t of a flag read in the window, as
+    rows in the window's ambient space: the naive two-level lift
+    flag.factor(t).section @ window.section, less its part in window.sub.
 
-    The naive two-level lift lives in that intersection plus the window's
-    sub; the sub part is stripped so induced pairings are read on
-    legitimate representatives.
+    A naive lift v lies in window.sup, and in span(source) + window.sub as
+    factor t's sup is read from source; writing v = s + u with u in
+    window.sub leaves s = v - u in span(source) ∩ window.sup.  Two such s
+    differ by a vector of span(source) ∩ window.sub, which the induced maps
+    send to 0: an honest partner lift pairs to 0 with it, and mu moves it
+    into the sub of the target factor.
     """
-    window = piece.window
-    naive = modp(piece.flag.factor(t).section @ window.section, p)
-    # the space of the orthogonal flag that the factor's sup is read from
-    orth = piece.orth.spaces[t if piece.flag.direction == "dec" else t + 1]
-    S = gfp.subspace_intersection(orth, window.sup, p)
-    return gfp.component_in(S, window.sub, naive, p)
+    naive = modp(flag.factor(t).section @ window.section, p)
+    return gfp.component_in(source, window.sub, naive, p)
 
 
 def _refine(pieces: dict, links: dict):
@@ -252,7 +255,8 @@ def _pair(cells: dict, cell_of: dict, pieces: dict, piece_of: dict,
             continue
         y2 = cell_of.get((x2, q))
         ensure(y2 is not None, "partner piece lacks the matching factor")
-        lifts[y] = _corrected_pair_lift(piece, t, p)
+        # factor t's sup is read from the orthogonal flag's space at t
+        lifts[y] = _lift(piece.flag, t, piece.window, piece.orth.bounds(t)[1], p)
         partner_of[y] = (y2, X)
     out = {}
     for y, (y2, X) in partner_of.items():
@@ -266,22 +270,26 @@ def grind_B_to_A(B: BState) -> AState:
     induce the new pairings from the parents, and wire the new nu maps."""
     A = B.a_state
     p = A.p
+    inverse = {rid: gfp.inverse(N, p) for rid, (sid, N) in B.mu.items()}
     v_cells, vid_of = _refine(
-        B.r, {rid: (gfp.inverse(N, p), B.s[sid].flag)
-              for rid, (sid, N) in B.mu.items()})
+        B.r, {rid: (inverse[rid], B.s[sid].flag) for rid, (sid, N) in B.mu.items()})
     w_cells, wid_of = _refine(
         B.s, {sid: (N, B.r[rid].flag) for rid, (sid, N) in B.mu.items()})
     b_new = _pair(v_cells, vid_of, B.r, B.rid_of, A.v, A.b, p)
     c_new = _pair(w_cells, wid_of, B.s, B.sid_of, A.w, A.c, p)
-    # nu: factor l of v-cell (rid, t) -> factor t of w-cell (mu(rid), l)
+    # nu: factor l of v-cell (rid, t) -> factor t of w-cell (mu(rid), l),
+    # read on lifts into N^{-1} of the sup of factor l of mu(rid)'s flag
     nu_new: dict = {}
     for (rid, t), vid in vid_of.items():
         sid, N = B.mu[rid]
         for l in v_cells[vid].flag.labels:
             wid = wid_of[(sid, l)]
-            M = gfp.induced_iso(N, B.r[rid].flag, B.s[sid].flag,
-                                v_cells[vid].flag, w_cells[wid].flag, t, l, p)
-            nu_new[(vid, l)] = (wid, t, M)
+            fac_U = B.s[sid].flag.factor(l)
+            lift = _lift(v_cells[vid].flag, l, B.r[rid].flag.factor(t),
+                         fac_U.sup @ inverse[rid].T, p)
+            M = w_cells[wid].flag.factor(t).project_vectors(
+                fac_U.project_vectors(lift @ N.T))
+            nu_new[(vid, l)] = (wid, t, M.T)
     out = AState(p, 1 - A.parity, v_cells, w_cells, b_new, c_new, nu_new)
     out.check()
     return out

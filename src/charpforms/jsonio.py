@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
 from .algebra import AlgebraElement, FlagSpec
 from .classify import (ContactCandidate, ContactInvariant, FormatError,
                        SymplecticCandidate, Type2Invariant)
@@ -148,7 +146,7 @@ def form_from_json(data: dict):
     form = DiffForm(spec, degree, {I: AlgebraElement(spec, terms)
                                    for I, terms in by_wedge.items()})
     if degree == 2:
-        return SymplecticCandidate(np.array(u, dtype=np.int64), form)
+        return SymplecticCandidate([c % spec.p for c in u], form)
     if any(c % spec.p for c in u):
         raise FormatError("u_class", "nonzero u-class on a non-2-form")
     if degree == 1:

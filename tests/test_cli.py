@@ -369,6 +369,40 @@ def test_cli_flag_invariants_rejects_non_integer_entries(tmp_path, capsys,
     assert captured.err.startswith(f"error: {field}: ")
 
 
+def test_cli_integers_past_int64_read_mod_p(tmp_path, capsys):
+    """u-class and matrix entries past int64 read mod p, as small ones do;
+    both used to exit 3 with an OverflowError."""
+    shifts = (0, 3 * 10 ** 30, -3 * 10 ** 23)
+    form = form_to_json(random_form("type2", FlagSpec(3, (1, 1)), 1))
+    outs = []
+    for shift in shifts:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(dict(form, u_class=[u + shift for u in
+                                                       form["u_class"]])))
+        assert main(["check", str(path)]) == 0
+        assert main(["invariants", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == outs[:1] * len(shifts)
+    for shift in shifts:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"p": 3, "flag_dims": [1, 2], "matrix":
+                                    [[0, 1 + shift], [2 - shift, 0]]}))
+        assert main(["flag-invariants", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("entry", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+def test_normal_shape_rejects_grid_entries_past_int64(entry):
+    """A grid entry that int64 cannot hold names `grid`; it used to raise
+    OverflowError."""
+    for kind, rec in (("type2", {"k": 1, "l": 1}), ("contact", {"k": 1})):
+        inv = invariants_from_json({"kind": kind,
+                                    "invariants": dict(rec, grid=[[entry]])})
+        with pytest.raises(FormatError) as ex:
+            normal_shape(inv, 3)
+        assert ex.value.field == "grid"
+
+
 def test_cli_main_twice_in_one_process(tmp_path, capsys):
     """The parser is built once per process; verbs, help text and usage
     errors do not depend on which verb ran before."""
@@ -721,16 +755,20 @@ def test_fuzz_automorphism_from_json_on_mutated_images(record, data):
 # file names at most a few more variables than the one it was mutated from.
 _SMALL_JUNK = st.sampled_from(["x", 1.5, [], {}, None, True, False, -1, 0, 1,
                                2, 3, [True], [0], ["x"], [[1]], [2, 2]])
+# Integers that int64 cannot hold: a datum reads them mod p or rejects them.
+# They replace no type-1 height or multiplicity, which have no size bound.
+_HUGE = st.sampled_from([2 ** 63, -2 ** 63 - 1, 3 * 2 ** 64, -(10 ** 30)])
 
 
-def _json_nodes(doc) -> list:
-    """(container, key) of every value nested in a JSON document."""
+def _json_nodes(doc, path=()) -> list:
+    """(container, key, path) of every value nested in a JSON document, path
+    the keys from the root to the container."""
     items = doc.items() if isinstance(doc, dict) else \
         enumerate(doc) if isinstance(doc, list) else ()
     out = []
     for key, val in items:
-        out.append((doc, key))
-        out.extend(_json_nodes(val))
+        out.append((doc, key, path))
+        out.extend(_json_nodes(val, path + (key,)))
     return out
 
 
@@ -742,9 +780,12 @@ def test_fuzz_invariants_from_json_into_normal_shape(datum, data):
     p, inv = datum
     doc = invariants_to_json(inv)
     for _ in range(data.draw(st.integers(0, 2))):
-        container, key = data.draw(st.sampled_from(_json_nodes(doc)))
+        container, key, path = data.draw(st.sampled_from(_json_nodes(doc)))
+        sized = key == "mult" or {"top", "bottom"} & set(path)
         if data.draw(st.booleans()):
             del container[key]
+        elif not sized and data.draw(st.booleans()):
+            container[key] = data.draw(_HUGE)
         else:
             container[key] = json.loads(json.dumps(data.draw(_SMALL_JUNK)))
     try:

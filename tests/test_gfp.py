@@ -10,7 +10,7 @@ from charpforms import gfp
 from charpforms.flagbilinear import coordinate_flag
 from charpforms.gfp import (
     CheckFailed, companion, component_in, elementary_divisors, empty_space,
-    eye, full_space, induced_iso, inverse, irreducibles, make_factor,
+    eye, full_space, inverse, irreducibles, make_factor,
     make_flag, modp, nullspace, orthogonal_flag, orthogonal_subspace, pfactor, pmul,
     preimage_rows, quotient_section, rank, read_flag, row_space, rref,
     solve_rows, subspace_intersection, subspace_leq, subspace_sum,
@@ -246,16 +246,6 @@ def test_transfer_via_iso_permutation():
     assert np.array_equal(T.spaces[1], row_space(np.array([[0, 1]]), p))
     # and so is its image, the swap being its own inverse
     assert np.array_equal(read_flag(F, target, 0, mu).spaces[1], T.spaces[1])
-
-
-def test_induced_iso_identity_and_scalar():
-    p = 5
-    V = make_flag(2, "inc", [empty_space(2), full_space(2)], p)
-    for mu in (eye(2), modp(3 * eye(2), p)):
-        src = read_flag(V, V, 0, inverse(mu, p))
-        dst = read_flag(V, V, 0, mu)
-        M = induced_iso(mu, V, V, src, dst, 0, 0, p)
-        assert np.array_equal(M, mu)
 
 
 # ---------------------------------------------------------------------------

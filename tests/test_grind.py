@@ -5,14 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from charpforms import gfp
+from charpforms import gfp, grind
 from charpforms.gfp import modp
 from charpforms.grind import (
-    Indecomposable, build_type1_object, canonical_pair_label,
+    BState, Indecomposable, build_type1_object, canonical_pair_label,
     classify_type1_matrices, decompose_rep, descriptor_equal,
-    descriptor_weight_catalog, extract_quiver_rep, grind_to_primitive,
-    height_spaces, self_paired_divisors, synthesize_descriptor_matrices,
-    synthesize_normal_matrices,
+    descriptor_weight_catalog, extract_quiver_rep, grind_A_to_B, grind_B_to_A,
+    grind_to_primitive, height_spaces, self_paired_divisors,
+    synthesize_descriptor_matrices, synthesize_normal_matrices,
 )
 
 STD2 = np.array([[0, 1], [-1, 0]])
@@ -27,6 +27,20 @@ def blkdiag(*mats):
         out[at:at + d, at:at + d] = m
         at += d
     return out
+
+
+def random_pair(rng, n, p):
+    """A random nondegenerate antisymmetric b and antisymmetric c on F_p^n."""
+    while True:
+        b = gfp.random_matrix(rng, n, n, p)
+        b = modp(b - b.T, p)
+        np.fill_diagonal(b, 0)
+        if gfp.rank(b, p) == n:
+            break
+    c = gfp.random_matrix(rng, n, n, p)
+    c = modp(c - c.T, p)
+    np.fill_diagonal(c, 0)
+    return b, c
 
 
 def test_build_examples():
@@ -157,17 +171,8 @@ def test_descriptor_invariance_under_T_moves():
     p = 3
     for _ in range(15):
         heights = tuple(rng.choice([1, 2]) for _ in range(2 * rng.randrange(1, 3)))
-        # random nondegenerate antisymmetric b, random antisymmetric c
         n = len(heights)
-        while True:
-            b = gfp.random_matrix(rng, n, n, p)
-            b = modp(b - b.T, p)
-            np.fill_diagonal(b, 0)
-            if gfp.rank(b, p) == n:
-                break
-        c = gfp.random_matrix(rng, n, n, p)
-        c = modp(c - c.T, p)
-        np.fill_diagonal(c, 0)
+        b, c = random_pair(rng, n, p)
         base = classify_type1_matrices(p, heights, b, c)
         # a T-move: M is the linear part of a group element (row i may use
         # column k only when heights[k] >= heights[i]); N shares its graded
@@ -242,15 +247,7 @@ def test_grind_preserves_dims_and_rep_axioms():
         for _ in range(10):
             heights = tuple(rng.choice([1, 2]) for _ in range(2 * rng.randrange(1, 3)))
             n = len(heights)
-            while True:
-                b = gfp.random_matrix(rng, n, n, p)
-                b = modp(b - b.T, p)
-                np.fill_diagonal(b, 0)
-                if gfp.rank(b, p) == n:
-                    break
-            c = gfp.random_matrix(rng, n, n, p)
-            c = modp(c - c.T, p)
-            np.fill_diagonal(c, 0)
+            b, c = random_pair(rng, n, p)
             st = build_type1_object(p, heights, b, c)
             prim = grind_to_primitive(st)
             assert prim.total_dims() == (n, n)
@@ -269,3 +266,92 @@ def test_grind_preserves_dims_and_rep_axioms():
 def test_classification_rejects_a_degenerate_constant_part():
     with pytest.raises(ValueError, match="constant part is degenerate"):
         classify_type1_matrices(3, (1, 1), gfp.zeros(2, 2), gfp.zeros(2, 2))
+
+
+def _b_states(rng, p, count):
+    """Every B-state on the way to the primitive limit of count random
+    objects at p: heights up to 3 on up to eight variables."""
+    out = []
+    for _ in range(count):
+        heights = tuple(rng.choice([1, 2, 3]) for _ in range(2 * rng.randrange(1, 5)))
+        A = build_type1_object(p, heights, *random_pair(rng, len(heights), p))
+        while not A.is_primitive():
+            out.append(grind_A_to_B(A))
+            A = grind_B_to_A(out[-1])
+    return out
+
+
+def _same_state(A1, A2, scale=1):
+    """A2 has A1's cells, flags and pairings, and scale times A1's nu."""
+    for cells1, cells2 in ((A1.v, A2.v), (A1.w, A2.w)):
+        assert cells1.keys() == cells2.keys()
+        for x, cell in cells1.items():
+            other = cells2[x]
+            assert (cell.dim, cell.alpha, cell.partner) == \
+                (other.dim, other.alpha, other.partner)
+            assert cell.flag.direction == other.flag.direction
+            assert all(map(np.array_equal, cell.flag.spaces, other.flag.spaces))
+    for pair1, pair2 in ((A1.b, A2.b), (A1.c, A2.c)):
+        assert pair1.keys() == pair2.keys()
+        assert all(np.array_equal(pair1[x], pair2[x]) for x in pair1)
+    assert A1.nu.keys() == A2.nu.keys()
+    for key, (wid, r, N) in A1.nu.items():
+        assert A2.nu[key][:2] == (wid, r)
+        assert np.array_equal(A2.nu[key][2], modp(scale * N, A1.p))
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_nu_maps_scale_with_mu(p):
+    """Scaling every mu of a B-state by a unit lam scales every new nu by
+    lam and leaves the flags and pairings: lam moves no space, and the
+    pairings come from the parents.  With c = b both sides grind alike, so
+    every nu is the identity."""
+    rng = random.Random(70 + p)
+    for B in _b_states(rng, p, 6):
+        A = grind_B_to_A(B)
+        for lam in range(1, p):
+            mu = {rid: (sid, modp(lam * N, p)) for rid, (sid, N) in B.mu.items()}
+            _same_state(A, grind_B_to_A(BState(B.r, B.s, mu, B.a_state,
+                                               B.rid_of, B.sid_of)), lam)
+    for _ in range(4):
+        heights = tuple(rng.choice([1, 2, 3]) for _ in range(2 * rng.randrange(1, 4)))
+        b, _ = random_pair(rng, len(heights), p)
+        A = build_type1_object(p, heights, b, b)
+        while not A.is_primitive():
+            A = grind_B_to_A(grind_A_to_B(A))
+            for wid, r, N in A.nu.values():
+                assert np.array_equal(N, gfp.eye(N.shape[0]))
+
+
+def _lift_oracle(flag, t, window, source, p):
+    """The lift solved inside span(source) ∩ window.sup, intersected first,
+    as the pair step read it before the one lift routine."""
+    naive = modp(flag.factor(t).section @ window.section, p)
+    S = gfp.subspace_intersection(gfp.row_space(source, p), window.sup, p)
+    return gfp.component_in(S, window.sub, naive, p)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_lift_is_honest_and_reads_the_intersected_pairings(p, monkeypatch):
+    """Every row of `_lift` lies in span(source) ∩ window.sup and differs
+    from the naive lift by a vector of window.sub; the pairings and nu maps
+    read through it equal those read through the intersection."""
+    calls = []
+    lift = grind._lift
+
+    def recording(flag, t, window, source, p):
+        out = lift(flag, t, window, source, p)
+        calls.append((flag, t, window, source, out))
+        return out
+
+    for B in _b_states(random.Random(80 + p), p, 8):
+        monkeypatch.setattr(grind, "_lift", recording)
+        A = grind_B_to_A(B)
+        monkeypatch.setattr(grind, "_lift", _lift_oracle)
+        _same_state(A, grind_B_to_A(B))
+    assert calls
+    for flag, t, window, source, out in calls:
+        honest = gfp.subspace_intersection(gfp.row_space(source, p), window.sup, p)
+        assert gfp.subspace_leq(gfp.row_space(out, p), honest, p)
+        naive = modp(flag.factor(t).section @ window.section, p)
+        assert gfp.subspace_leq(gfp.row_space(naive - out, p), window.sub, p)
