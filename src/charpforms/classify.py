@@ -109,12 +109,12 @@ def constant_covector(omega: DiffForm) -> np.ndarray:
     return out
 
 
-def h2_bivector(body: DiffForm) -> np.ndarray:
+def h2_bivector(body: DiffForm, dbody: DiffForm | None = None) -> np.ndarray:
     """The class of a closed 2-form as an antisymmetric matrix over the
-    top-cocycle basis."""
+    top-cocycle basis (`dbody`, if given, is d body)."""
     spec = body.spec
     n = spec.n
-    coords = h_class(body)
+    coords = h_class(body, dbody)
     out = gfp.zeros(n, n)
     for c, (i, j) in zip(coords, itertools.combinations(range(n), 2)):
         out[i, j] = c
@@ -122,14 +122,16 @@ def h2_bivector(body: DiffForm) -> np.ndarray:
     return out
 
 
-def is_symplectic(cand: SymplecticCandidate) -> str:
-    """'no', 'type1' or 'type2'."""
+def is_symplectic(cand: SymplecticCandidate, dbody: DiffForm | None = None) -> str:
+    """'no', 'type1' or 'type2'.  `dbody`, if given, is d(body), already
+    computed by the caller."""
     spec = cand.spec
     p = spec.p
     if p == 2 and cand.has_u() and any(m == 1 for m in spec.heights):
         raise FormatError("heights",
                           "type-2 recognition at p = 2 needs all heights > 1")
-    closed = cand.body.d() + e_vector_form(spec, cand.u_class).wedge(cand.body)
+    dbody = cand.body.d() if dbody is None else dbody
+    closed = dbody + e_vector_form(spec, cand.u_class).wedge(cand.body)
     if closed:
         return "no"
     if not gfp.is_invertible(constant_bivector(cand.body), p):
@@ -138,21 +140,24 @@ def is_symplectic(cand: SymplecticCandidate) -> str:
 
 
 def invariants(cand) -> Type2Invariant | ContactInvariant | Counter:
-    """Complete conjugacy invariants of a recognized form."""
+    """Complete conjugacy invariants of a recognized form; the form's d is
+    computed once and shared by recognition and the invariants."""
     if isinstance(cand, SymplecticCandidate):
-        kind = is_symplectic(cand)
+        dbody = cand.body.d()
+        kind = is_symplectic(cand, dbody)
         if kind == "no":
             raise ValueError("not a symplectic form")
         spec = cand.spec
         b = constant_bivector(cand.body)
         if kind == "type1":
-            c = h2_bivector(cand.body)
+            c = h2_bivector(cand.body, dbody)
             return classify_type1_matrices(spec.p, spec.heights, b, c)
         return _type2_invariants(spec, cand.u_class, b)
     if isinstance(cand, ContactCandidate):
-        if not is_contact(cand):
+        domega = cand.form.d()
+        if not is_contact(cand, domega):
             raise ValueError("not a contact form")
-        return _contact_invariants(cand)
+        return _contact_invariants(cand, domega)
     raise TypeError("unrecognized candidate type")
 
 
@@ -168,11 +173,11 @@ def _type2_invariants(spec: FlagSpec, e, b) -> Type2Invariant:
     return Type2Invariant(k, *invariants_form_functional(fb, k, f))
 
 
-def _contact_invariants(cand: ContactCandidate) -> ContactInvariant:
+def _contact_invariants(cand: ContactCandidate, domega: DiffForm) -> ContactInvariant:
     spec = cand.spec
     p = spec.p
     x = constant_covector(cand.form)
-    b = constant_bivector(cand.form.d())
+    b = constant_bivector(domega)
     flag = height_spaces(spec.heights)
     return ContactInvariant(*invariants_contact_pair(p, flag, x, b))
 

@@ -254,14 +254,16 @@ def is_exact_with_potential(omega: DiffForm) -> DiffForm | None:
     return phi
 
 
-def h_class(omega: DiffForm) -> np.ndarray:
+def h_class(omega: DiffForm, domega: DiffForm | None = None) -> np.ndarray:
     """Coordinates of [omega] in the basis of classes of the top cocycles.
 
     For a closed k-form omega - pi(omega) is exact (see
     `is_exact_with_potential`), so the class is read off the coefficients of
     the top cocycles, ordered by the C(n, k) increasing index tuples I.
+    `domega`, if given, is d omega, already computed by the caller; a form
+    that is not closed raises ValueError either way.
     """
-    if omega.d():
+    if omega.d() if domega is None else domega:
         raise ValueError("input form is not closed")
     spec = omega.spec
     k = omega.degree

@@ -37,7 +37,7 @@ asks are of this kind.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -380,8 +380,9 @@ def component_in(S, sub, V, p: int) -> np.ndarray:
 
 
 def _pivots(R: np.ndarray) -> list[int]:
-    """Pivot columns of an rref matrix without zero rows."""
-    return [int(np.flatnonzero(row)[0]) for row in R]
+    """Pivot columns of an rref matrix without zero rows: the first nonzero
+    column of each row, from one vector call."""
+    return (R != 0).argmax(axis=1).tolist() if R.size else []
 
 
 def quotient_section(sub, sup, p: int) -> np.ndarray:
@@ -478,10 +479,16 @@ class FlagChain:
     factor keeps E, since the image of the whole space is the whole factor
     and that of 0 is 0, and an isomorphism moves the whole space onto the
     whole space and 0 onto 0, in either direction.
+
+    The spaces have no zero rows, so dim Φ_q is a difference of row counts:
+    `labels` reads the nonzero factors off them, and a factor is built only
+    when `factor` is first asked for it.
     """
     direction: str                      # "inc" | "dec"
     spaces: tuple                       # rref arrays S_0..S_L, then E
     p: int
+    _built: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)  # label -> Φ_q, once asked for
 
     @property
     def ambient_dim(self) -> int:
@@ -494,18 +501,18 @@ class FlagChain:
         return (low, high) if self.direction == "inc" else (high, low)
 
     @cached_property
-    def factors(self) -> tuple:
-        """Φ_0, ..., Φ_L."""
-        return tuple(make_factor(*self.bounds(q), self.p)
-                     for q in range(len(self.spaces) - 1))
-
-    @cached_property
     def labels(self) -> tuple:
-        """Labels of the nonzero factors, increasing."""
-        return tuple(q for q, fac in enumerate(self.factors) if fac.dim > 0)
+        """Labels of the nonzero factors, increasing: the q with
+        dim S_q != dim S_{q+1}."""
+        dims = [S.shape[0] for S in self.spaces]
+        return tuple(q for q in range(len(dims) - 1) if dims[q] != dims[q + 1])
 
     def factor(self, label: int) -> Factor:
-        return self.factors[label]
+        """Φ_label, built on the first call."""
+        fac = self._built.get(label)
+        if fac is None:
+            fac = self._built[label] = make_factor(*self.bounds(label), self.p)
+        return fac
 
     def is_trivial(self) -> bool:
         """No space strictly between 0 and the ambient space."""
@@ -678,18 +685,30 @@ def irreducibles(p: int, d: int) -> tuple:
 def pfactor(f, p: int) -> dict:
     """Factor a monic polynomial into irreducibles: {q: multiplicity}.
 
-    Distinct degrees, d = 1, 2, ... while 2d <= deg f: with every factor of
-    degree below d already divided out, g = gcd(f, x^(p^d) - x) is the
-    product of the distinct irreducible factors of degree d.  g is one of
-    them if deg g = d; only if deg g > d are the degree-d irreducibles
-    tried.  Once f has no factor of degree at most half its own, f is
-    irreducible.
+    Linear factors x + c are peeled first, c = 0, 1, ..., p - 1, by
+    synthetic division at the root -c.  A root-free rest of degree at most 3
+    is irreducible, since a reducible one has a factor of degree 1.  A
+    root-free rest of degree 4 or more goes through distinct degrees, d = 1,
+    2, ... while 2d <= deg f: with every factor of degree below d already
+    divided out, g = gcd(f, x^(p^d) - x) is the product of the distinct
+    irreducible factors of degree d.  g is one of them if deg g = d; only if
+    deg g > d are the degree-d irreducibles tried.  Once f has no factor of
+    degree at most half its own, f is irreducible.
     """
     f = pmonic(f, p)
     out: dict = {}
+    for c in range(p):
+        while pdeg(f) > 0:
+            quo = [1]                   # f / (x + c), top coefficient first
+            for a in f[-2::-1]:
+                quo.append((a - c * quo[-1]) % p)
+            if quo.pop():               # the remainder f(-c)
+                break
+            out[(c, 1)] = out.get((c, 1), 0) + 1
+            f = tuple(quo[::-1])
     h = (0, 1)                          # x^(p^d) mod f
     d = 1
-    while 2 * d <= pdeg(f):
+    while pdeg(f) >= 4 and 2 * d <= pdeg(f):
         h = _powmod(h, p, f, p)
         h_minus_x = list(h) + [0, 0]
         h_minus_x[1] = (h_minus_x[1] - 1) % p

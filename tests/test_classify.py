@@ -565,3 +565,19 @@ def test_random_form_recognized():
             expect = "contact" if kind == "contact" else kind
             assert recognize(cand) == expect
             assert cand.spec.heights_multiset() == spec.heights_multiset()
+
+
+def test_invariants_compute_d_once(monkeypatch):
+    """`invariants` computes the form's d once and shares it between
+    recognition and the invariants, for type-1, type-2 and contact forms."""
+    calls = []
+    d = DiffForm.d
+    monkeypatch.setattr(DiffForm, "d", lambda self: calls.append(self) or d(self))
+    for kind, spec in [("type1", FlagSpec(3, (1, 2))),
+                       ("type2", FlagSpec(3, (2, 1))),
+                       ("contact", FlagSpec(5, (1, 1, 1)))]:
+        for seed in range(2):
+            cand = random_form(kind, spec, seed)
+            calls.clear()
+            invariants(cand)
+            assert len(calls) == 1, kind

@@ -230,6 +230,20 @@ def test_h_class_examples():
         assert is_exact_with_potential(omega - rep) is not None
 
 
+def test_h_class_refuses_a_form_that_is_not_closed():
+    """With or without d omega from the caller, a form that is not closed
+    raises, and on a closed form both calls agree."""
+    s = FlagSpec(3, (1, 2))
+    x1dx2 = DiffForm(s, 1, {(1,): AlgebraElement.generator(s, 0)})
+    for args in [(x1dx2,), (x1dx2, x1dx2.d())]:
+        with pytest.raises(ValueError):
+            h_class(*args)
+    rng = random.Random(5)
+    for k in (1, 2):
+        omega = random_form(rng, s, k - 1).d()
+        assert list(h_class(omega, omega.d())) == list(h_class(omega))
+
+
 def test_decompose_z1_examples():
     s = FlagSpec(3, (1,))
     # phi = dx -> e = (1), witness scalar

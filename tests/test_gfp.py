@@ -505,3 +505,92 @@ def test_det():
         assert gfp.is_invertible(A, p) == invertible
         seen.add(invertible)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_pfactor_every_monic_up_to_degree_4(p):
+    """Every monic f of degree <= 4 is the product of the q^e of
+    pfactor(f), and every q is a monic irreducible."""
+    for d in range(5):
+        for coeffs in itertools.product(range(p), repeat=d):
+            f = coeffs + (1,)
+            prod = (1,)
+            for q, e in pfactor(f, p).items():
+                assert q in irreducibles(p, gfp.pdeg(q)) and e >= 1, (f, q)
+                prod = pmul(prod, gfp.ppow(q, e, p), p)
+            assert prod == f
+
+
+def test_pfactor_root_free_quartics_reach_distinct_degrees(monkeypatch):
+    """(x^2+1)^2 and (x^2+1)(x^2+x+2) at p = 3 have no root, yet are
+    reducible: they are split by the distinct-degree loop, not read as
+    irreducible as a root-free rest of degree <= 3 is."""
+    p = 3
+    a, b = (1, 0, 1), (2, 1, 1)
+    assert a in irreducibles(p, 2) and b in irreducibles(p, 2)
+    calls = []
+    powmod = gfp._powmod
+    monkeypatch.setattr(gfp, "_powmod", lambda *args: calls.append(args) or powmod(*args))
+    # the last one is root-free once x + 1 is peeled off
+    for f, expected in [(pmul(a, a, p), {a: 2}), (pmul(a, b, p), {a: 1, b: 1}),
+                        (pmul(pmul(a, b, p), (1, 1), p), {(1, 1): 1, a: 1, b: 1})]:
+        calls.clear()
+        assert pfactor(f, p) == expected
+        assert calls, f
+    for f in (pmul(a, a, p), pmul(a, b, p)):
+        assert all(sum(c * x ** i for i, c in enumerate(f)) % p for x in range(p))
+    # a root-free cubic and linear factors alone need no powers of x
+    cubic = (1, 2, 0, 1)
+    calls.clear()
+    assert pfactor(cubic, p) == {cubic: 1}
+    assert pfactor(pmul(cubic, (2, 1), p), p) == {(2, 1): 1, cubic: 1}
+    assert pfactor(gfp.ppow((1, 1), 3, p), p) == {(1, 1): 3}
+    assert not calls
+
+
+def _flags_with_repeats(rng, n, p):
+    """Flags in both directions whose spaces repeat: equal neighbours (zero
+    factors) at the start, inside and next to E."""
+    for direction in ("inc", "dec"):
+        basis = gfp.random_invertible(rng, n, p)
+        for dims in ([0, 0, n], [0, 1, 1, n], [1, 1, 2, 2, n], [0, n, n],
+                     sorted(rng.randrange(n + 1) for _ in range(4))):
+            spaces = [basis[:d] for d in dims]
+            yield make_flag(n, direction, spaces if direction == "inc" else spaces[::-1], p)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_flag_labels_and_lazy_factors(p, monkeypatch):
+    """`labels` reads the nonzero factors off row counts without building
+    any factor, and `factor(q)` builds make_factor(*bounds(q)) once."""
+    rng = random.Random(700 + p)
+    built = []
+    make = gfp.make_factor
+    monkeypatch.setattr(gfp, "make_factor", lambda *args: built.append(args) or make(*args))
+    flags = [F for n in range(1, 6) for F in _flags_with_repeats(rng, n, p)]
+    flags += [orthogonal_flag(gfp.random_invertible(rng, F.ambient_dim, p), F, p)
+              for F in flags]
+    for F in flags:
+        built.clear()
+        expected = [make(*F.bounds(q), p) for q in range(len(F.spaces) - 1)]
+        assert F.labels == tuple(q for q, fac in enumerate(expected) if fac.dim > 0)
+        assert not built
+        for q, ref in enumerate(expected):
+            fac = F.factor(q)
+            for name in ("sub", "sup", "section"):
+                assert np.array_equal(getattr(fac, name), getattr(ref, name))
+            assert fac.dim == ref.dim and F.factor(q) is fac
+        assert len(built) == len(expected)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_pivots_match_per_row_scan(p):
+    rng = random.Random(800 + p)
+    for n in range(0, 7):
+        assert gfp._pivots(gfp.zeros(0, n)) == []
+        for _ in range(5):
+            R = row_space(gfp.random_matrix(rng, rng.randrange(n + 2), n, p), p)
+            pivots = gfp._pivots(R)
+            assert pivots == [int(np.flatnonzero(row)[0]) for row in R]
+            assert pivots == rref(R, p)[1]
+            assert all(type(c) is int for c in pivots)

@@ -286,3 +286,45 @@ def test_elementary_divisors_of_singular_match_sympy(p):
     assert gfp.elementary_divisors(gfp.zeros(2, 2), p) == [(0, 1), (0, 1)]
     for h in _singular_endomorphisms(rng, p):
         assert gfp.elementary_divisors(h, p) == _sympy_divisors(h, p), h.tolist()
+
+
+def _endomorphisms_7_8(rng, p):
+    """7 x 7 and 8 x 8 matrices, the sizes of the largest cycle maps of the
+    type-1 grind: random ones, singular ones of rank n - 2, and conjugated
+    block sums of sizes exactly 7 and 8 of Jordan blocks (nilpotent ones
+    included) and companions of irreducible quadratic powers, some
+    repeated."""
+    quadratics = gfp.irreducibles(p, 2)
+    for n in (7, 8):
+        yield gfp.random_matrix(rng, n, n, p)
+        yield gfp.random_invertible(rng, n, p)
+        yield gfp.modp(gfp.random_matrix(rng, n, n - 2, p)
+                       @ gfp.random_matrix(rng, n - 2, n, p), p)
+        for _ in range(4):
+            blocks = []
+            while sum(b.shape[0] for b in blocks) < n:
+                a, k = rng.randrange(p), rng.randrange(1, 4)
+                jordan = gfp.modp(a * gfp.eye(k) + np.eye(k, k, 1, dtype=np.int64), p)
+                q = rng.choice(quadratics)
+                B = rng.choice([jordan, gfp.companion(gfp.ppow(q, (k + 1) // 2, p), p)])
+                for _ in range(rng.choice((1, 2))):
+                    if sum(b.shape[0] for b in blocks) + B.shape[0] <= n:
+                        blocks.append(B)
+                if sum(b.shape[0] for b in blocks) == n - 1:
+                    blocks.append(gfp.modp([[rng.randrange(p)]], p))
+            D = _block_diag(blocks)
+            g = gfp.random_invertible(rng, n, p)
+            yield gfp.modp(g @ D @ gfp.inverse(g, p), p)
+
+
+@pytest.mark.parametrize("p", gfp.SUPPORTED_PRIMES)
+def test_elementary_divisors_7_8_match_sympy(p):
+    """From n = 7 on, the n^2 x (n + 1) matrix of flattened powers is
+    reduced by `_rref_large`."""
+    assert 7 * 7 * 8 > gfp.SMALL_ENTRIES >= 6 * 6 * 7
+    rng = random.Random(900 + p)
+    sizes = set()
+    for h in _endomorphisms_7_8(rng, p):
+        sizes.add(h.shape[0])
+        assert gfp.elementary_divisors(h, p) == _sympy_divisors(h, p), h.tolist()
+    assert sizes == {7, 8}
