@@ -224,8 +224,8 @@ def contact_split(cand: ContactCandidate):
     [I | M(R_1/R_0)^T | ... | M(R_{n-1}/R_0)^T]; if f_{n-1} is a unit, the
     kernel is a_{n-1} = -sum_{i<n-1} M(f_i/f_{n-1}) a_i, whose rref is
     [I | B] with block row i of B equal to -M(f_i/f_{n-1})^T.  Otherwise
-    the space is eliminated from the matrices of `_contact_matrices`
-    (`gfp.row_space` for P, `gfp.nullspace` for Q).
+    the space is eliminated, and only its matrix is built: `gfp.row_space`
+    of `_reeb_span` for P, `gfp.nullspace` of `_omega_matrix` for Q.
     """
     domega = cand.form.d()
     if not is_contact(cand, domega):
@@ -235,25 +235,21 @@ def contact_split(cand: ContactCandidate):
     reeb = _reeb_vector(domega)
     ensure(not domega.contract(reeb), "d omega . R != 0")
     f = [cand.form.terms.get((j,), AlgebraElement.zero(spec)) for j in range(n)]
-    r0_unit = reeb[0].constant_term() != 0
-    f_last_unit = f[-1].constant_term() != 0
-    if not (r0_unit and f_last_unit):
-        span_P, rows_Q = _contact_matrices(cand, reeb)
-    if r0_unit:
+    if reeb[0].constant_term():
         P = np.zeros((dimO, n * dimO), dtype=np.int64)
         np.fill_diagonal(P, 1)
         for j, q in enumerate(_quotients(reeb[1:], reeb[0]), start=1):
             P[:, j * dimO:(j + 1) * dimO] = multiplication_matrix(q).T
     else:
-        P = gfp.row_space(span_P, p)
-    if f_last_unit:
+        P = gfp.row_space(_reeb_span(reeb), p)
+    if f[-1].constant_term():
         k = (n - 1) * dimO
         Q = np.zeros((k, n * dimO), dtype=np.int64)
         np.fill_diagonal(Q, 1)
         for i, q in enumerate(_quotients(f[:-1], f[-1])):
             Q[i * dimO:(i + 1) * dimO, k:] = -multiplication_matrix(q).T % p
     else:
-        Q = gfp.nullspace(rows_Q, p)
+        Q = gfp.nullspace(_omega_matrix(f), p)
     ensure(P.shape[0] == dimO, "P is not free of rank 1")
     ensure(P.shape[0] + Q.shape[0] == n * dimO, "contact split dimensions broken")
     return P, Q
@@ -318,27 +314,22 @@ def _reeb_vector(domega: DiffForm) -> list:
             for i in range(n)]
 
 
-def _contact_matrices(cand: ContactCandidate, reeb: list):
-    """The F_p spanning rows [M(R_0)^T | ... | M(R_{n-1})^T] of P = O R and
-    the matrix [M(f_0) | ... | M(f_{n-1})] of delta -> omega(delta) on W(F),
-    both dim O(F) x dim W(F) int16 arrays, M = `multiplication_matrix`.
+def _reeb_span(reeb: list) -> np.ndarray:
+    """The F_p spanning rows [M(R_0)^T | ... | M(R_{n-1})^T] of P = O R, a
+    dim O(F) x dim W(F) int16 array, M = `multiplication_matrix`.
 
-    Coordinate j * dim O(F) + idx(x^(m)) of W(F) is x^(m) d_j, so row m of
-    the first matrix is x^(m) R: column m of M(R_j) in block j.
+    Coordinate j * dim O(F) + idx(x^(m)) of W(F) is x^(m) d_j, so row m is
+    x^(m) R: column m of M(R_j) in block j.
     """
-    spec = cand.spec
-    dimO = spec.dim
-    span_P = np.zeros((dimO, spec.n * dimO), dtype=np.int16)
-    rows_Q = np.zeros((dimO, spec.n * dimO), dtype=np.int16)
+    return np.concatenate([multiplication_matrix(r).T for r in reeb], axis=1,
+                          dtype=np.int16)
 
-    def block(i):
-        return slice(i * dimO, (i + 1) * dimO)
 
-    for j, r in enumerate(reeb):
-        span_P[:, block(j)] = multiplication_matrix(r).T
-    for (j,), f in cand.form.terms.items():
-        rows_Q[:, block(j)] = multiplication_matrix(f)
-    return span_P, rows_Q
+def _omega_matrix(f: list) -> np.ndarray:
+    """[M(f_0) | ... | M(f_{n-1})], the matrix of delta -> omega(delta) on
+    W(F) for omega = sum f_j dx_j, a dim O(F) x dim W(F) int16 array."""
+    return np.concatenate([multiplication_matrix(g) for g in f], axis=1,
+                          dtype=np.int16)
 
 
 # ---------------------------------------------------------------------------

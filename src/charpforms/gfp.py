@@ -6,20 +6,22 @@ A of shape (m, n) sends a column vector v in F_p^n to A @ v in F_p^m; a
 pairing b: V x U -> K is a matrix of shape (dim V, dim U) with
 b(v, u) = v^T b u.
 
-Every row reduction (rref, rank, nullspace, solves, inverse, quotient
-sections) uses one pivot rule: the pivot of a column is the first row, at
-or below the current one, with a nonzero entry there.  `_eliminate` reduces
-matrices with at most SMALL_ENTRIES entries (m*n <= 256, the 16x16 and
-smaller systems of the classification pipeline) as lists of Python-int
-rows, which beats numpy's per-call overhead at that size.  Larger ones (the
-dense systems of contact splitting) are reduced by `_rref_large` in place
-on one int16 array: entries lie in [0, p) with p <= 13, so each update
-x - f*y stays within [-144, 12], and a pivot only touches the rows with a
-nonzero entry in its column, from its column on.  `rref` and `nullspace`,
-which contact splitting calls on its large systems, keep them as arrays end
-to end.  `nullspace` eliminates once, on the matrix with its columns
-reversed: the basis read off that rref, reversed back, is already the
-canonical rref of the kernel.
+Every row reduction (rref, row spaces, rank, nullspace, solves, inverse,
+intersections, preimages, quotient sections) goes through one entry,
+`_reduce(A, p)`: an integer array in, its rref as an array and the pivot
+columns out, by one pivot rule: the pivot of a column is the first row, at
+or below the current one, with a nonzero entry there.  `_reduce` reduces
+its input mod p, so callers pass unreduced integer arrays, and it picks the
+kernel by size.  Up to SMALL_ENTRIES entries (m*n <= 256, the 16x16 and
+smaller systems of the classification pipeline) `_eliminate` works on
+lists of Python-int rows, which beats numpy's per-call overhead at that
+size.  Larger ones (the dense systems of contact splitting) are reduced by
+`_rref_large` in place on one int16 array: entries lie in [0, p) with
+p <= 13, so each update x - f*y stays within [-144, 12], and a pivot only
+touches the rows with a nonzero entry in its column, from its column on.
+`nullspace` eliminates once, on the matrix with its columns reversed: the
+basis read off that rref, reversed back, is already the canonical rref of
+the kernel.
 
 Trivial subspace questions are read off row counts, with no elimination:
 an rref subspace of F_p^n with k rows is 0 when k = 0 and everything when
@@ -37,6 +39,7 @@ asks are of this kind.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -87,30 +90,29 @@ def inv_scalar(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The elimination core.  Rows are lists of Python ints in [0, p).
+# The elimination core.
 # ---------------------------------------------------------------------------
 
-def _rows(A, p: int) -> tuple[list, int]:
-    """(rows, number of columns) of a matrix; a vector is one row."""
-    A = np.asarray(A, dtype=np.int64) % p
-    if A.ndim == 1:
-        return [A.tolist()], A.shape[0]
-    return A.tolist(), A.shape[1]
-
-
-def _matrix(rows, n: int) -> np.ndarray:
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+def _reduce(A, p: int, pivots_only: bool = False) -> tuple:
+    """(rref of the integer array A mod p, pivot columns); a vector is one
+    row.  Up to SMALL_ENTRIES entries `_eliminate` reduces rows of Python
+    ints and R is int64; beyond, `_rref_large` reduces an int16 R in place.
+    With pivots_only the small R is not built (None)."""
+    A = np.atleast_2d(A)
+    if A.size > SMALL_ENTRIES:
+        R = (A % p).astype(np.int16, copy=False)
+        return R, _rref_large(R, p)
+    rows = (A % p).tolist()
+    pivots = _eliminate(rows, A.shape[1], p)
+    if pivots_only:
+        return None, pivots
+    return np.array(rows, dtype=np.int64).reshape(A.shape), pivots
 
 
 def _eliminate(rows: list, n: int, p: int) -> list[int]:
-    """rref of rows in place, by the pivot rule above; returns the pivot
-    columns."""
+    """rref of rows (lists of n Python ints in [0, p)) in place, by the
+    pivot rule above; returns the pivot columns."""
     m = len(rows)
-    if m * n > SMALL_ENTRIES:
-        A = np.array(rows, dtype=np.int16).reshape(m, n)
-        pivots = _rref_large(A, p)
-        rows[:] = A.tolist()
-        return pivots
     inv = _inverse_table(p)
     pivots: list[int] = []
     r = 0
@@ -175,19 +177,20 @@ def _rref_large(A: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _solve(A: list, rhs: list, n: int, p: int) -> list | None:
-    """For each vector b of rhs the solution x of A @ x = b whose free
-    coordinates are zero, all from one elimination; None if any b is
-    inconsistent.  A is given by its rows (n columns)."""
-    aug = [row + [b[i] for b in rhs] for i, row in enumerate(A)]
-    pivots = _eliminate(aug, n + len(rhs), p)
-    if pivots and pivots[-1] >= n:
+def _solve(B, V, p: int) -> np.ndarray | None:
+    """The coefficient rows C with C @ B = V, free coordinates zero, from
+    one elimination of [B^T | V^T]; None if a row of V lies outside the
+    row space of B."""
+    k, n = B.shape
+    if V.shape[1] != n:
+        raise ValueError(f"rows of length {V.shape[1]} against a basis of "
+                         f"shape {B.shape}")
+    R, pivots = _reduce(np.concatenate([B.T, V.T], axis=1), p)
+    if pivots and pivots[-1] >= k:
         return None
-    sols = [[0] * n for _ in rhs]
-    for row, c in zip(aug, pivots):
-        for x, val in zip(sols, row[n:]):
-            x[c] = val
-    return sols
+    C = zeros(V.shape[0], k)
+    C[:, pivots] = R[:len(pivots), k:].T
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +199,8 @@ def _solve(A: list, rhs: list, n: int, p: int) -> list | None:
 
 def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p; returns (R, pivot columns)."""
-    A = np.asarray(A)
-    if A.size > SMALL_ENTRIES:
-        R = (np.atleast_2d(A) % p).astype(np.int16, copy=False)
-        pivots = _rref_large(R, p)
-        return R.astype(np.int64), pivots
-    rows, n = _rows(A, p)
-    pivots = _eliminate(rows, n, p)
-    return _matrix(rows, n), pivots
+    R, pivots = _reduce(A, p)
+    return R.astype(np.int64, copy=False), pivots
 
 
 def row_space(A, p: int) -> np.ndarray:
@@ -213,55 +210,38 @@ def row_space(A, p: int) -> np.ndarray:
 
 
 def rank(A, p: int) -> int:
-    rows, n = _rows(A, p)
-    return len(_eliminate(rows, n, p))
+    return len(_reduce(A, p, pivots_only=True)[1])
 
 
 def empty_space(n: int) -> np.ndarray:
     return zeros(0, n)
 
 
+@lru_cache(maxsize=None)
 def full_space(n: int) -> np.ndarray:
-    return eye(n)
+    """The identity of size n, one read-only array per n."""
+    E = eye(n)
+    E.flags.writeable = False
+    return E
 
 
 def nullspace(A, p: int) -> np.ndarray:
     """Canonical basis (rref) of {x : A @ x = 0}, from one elimination.
 
     Let J reverse the columns and R = rref(A J).  The kernel vector of A J at
-    a free column c has 1 at c, 0 at the other free columns and nonzeros only
-    at pivot columns left of c.  Reversed (J v) it has its leading 1 at
+    a free column c has 1 at c, 0 at the other free columns and -R[i, c] at
+    the pivot column of row i.  Reversed (J v) it has its leading 1 at
     n - 1 - c and 0 at the other leading columns, so these vectors, taken in
-    decreasing c, are the rref of ker A.
+    decreasing c, are the rref of ker A.  They are written into the result
+    N through its column-reversed view, and R is read only at its free
+    columns, with no copy of the whole of it.
     """
-    A = np.asarray(A)[..., ::-1]
-    if A.size > SMALL_ENTRIES:
-        return _nullspace_large(A, p)
-    rows, n = _rows(A, p)
-    pivots = _eliminate(rows, n, p)
-    basis = []
-    for c in sorted(set(range(n)) - set(pivots), reverse=True):
-        v = [0] * n
-        v[c] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[c] % p
-        basis.append(v[::-1])
-    return _matrix(basis, n)
-
-
-def _nullspace_large(A: np.ndarray, p: int) -> np.ndarray:
-    """nullspace by `_rref_large` on an int16 copy R of the column-reversed
-    A J mod p, kept int16 (no int64 copy of R).  Row k of the result is J v
-    for the k-th largest free column c: 1 at n - 1 - c and -R[i, c] at
-    n - 1 - (pivot column of row i).
-    """
-    R = (np.atleast_2d(A) % p).astype(np.int16, copy=False)
-    pivots = _rref_large(R, p)
+    R, pivots = _reduce(np.asarray(A)[..., ::-1], p)
     n = R.shape[1]
-    free = np.setdiff1d(np.arange(n), pivots)[::-1]
-    N = zeros(free.size, n)
-    N[np.arange(free.size), n - 1 - free] = 1
-    N[:, n - 1 - np.array(pivots, dtype=np.intp)] = -R[:len(pivots), free].T % p
+    free = sorted(set(range(n)).difference(pivots), reverse=True)
+    N = zeros(len(free), n)
+    N[:, ::-1][:, pivots] = -R[:len(pivots)].take(free, axis=1).T % p
+    N.put([k * n + n - 1 - c for k, c in enumerate(free)], 1)
     return N
 
 
@@ -272,23 +252,24 @@ def solve_rows(B, V, p: int) -> np.ndarray | None:
     matrix of rows (one coefficient row each).  None if any v lies outside
     the row space of B.
     """
-    cols, k = _rows(np.atleast_2d(B).T, p)        # B^T: c @ B = v is B^T c = v
-    sols = _solve(cols, _rows(V, p)[0], k, p)
-    if sols is None:
-        return None
-    return np.array(sols[0], dtype=np.int64) if np.ndim(V) == 1 else _matrix(sols, k)
+    C = _solve(np.atleast_2d(B), np.atleast_2d(V), p)
+    if C is None or np.ndim(V) > 1:
+        return C
+    return C[0]
 
 
 def inverse(A, p: int) -> np.ndarray:
-    rows, n = _rows(A, p)
-    sols = _solve(rows, eye(n).tolist(), n, p)
-    if sols is None:
+    """A^-1 over F_p, as the rows C with C @ A^T = I, transposed."""
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"cannot invert a matrix of shape {A.shape}")
+    C = _solve(A.T, full_space(A.shape[0]), p)
+    if C is None:
         raise ValueError("matrix is singular mod p")
-    return _matrix(sols, n).T.copy()
+    return C.T.copy()
 
 
 def is_invertible(A, p: int) -> bool:
-    A = modp(A, p)
     return A.shape[0] == A.shape[1] and rank(A, p) == A.shape[0]
 
 
@@ -334,11 +315,11 @@ def _zassenhaus(A, B, C, p: int) -> np.ndarray:
     B-blocks are reduced at their pivots and zero above and below them, so
     they form the rref of that space.  One elimination.
     """
-    a, n = A.shape[1], B.shape[1]
-    rows = [x + y for x, y in zip(_rows(A, p)[0], _rows(B, p)[0])]
-    rows += [c + [0] * n for c in _rows(C, p)[0]]
-    pivots = _eliminate(rows, a + n, p)
-    return _matrix([row[a:] for row, c in zip(rows, pivots) if c >= a], n)
+    (m, a), c = A.shape, C.shape[0]
+    block = zeros(m + c, a + B.shape[1])
+    block[:m, :a], block[:m, a:], block[m:, :a] = A, B, C
+    R, pivots = _reduce(block, p)
+    return R[bisect_left(pivots, a):len(pivots), a:].astype(np.int64, copy=False)
 
 
 def subspace_intersection(A, B, p: int) -> np.ndarray:
@@ -365,8 +346,7 @@ def preimage_rows(M, S, p: int) -> np.ndarray:
     rectangular."""
     if S.shape[0] == S.shape[1]:
         return full_space(M.shape[1])
-    M = modp(M, p)
-    return _zassenhaus(M.T, eye(M.shape[1]), S, p)
+    return _zassenhaus(M.T, full_space(M.shape[1]), S, p)
 
 
 def component_in(S, sub, V, p: int) -> np.ndarray:
@@ -388,20 +368,11 @@ def _pivots(R: np.ndarray) -> list[int]:
 def quotient_section(sub, sup, p: int) -> np.ndarray:
     """Canonical complement of `sub` inside `sup` (sub ⊆ sup, both rref).
 
-    The rref of the vectors of sup that vanish at sub's pivot columns: each
-    row of sup is reduced at those pivots by the rows of sub, and the
-    results are eliminated once.
+    The rref of the vectors of sup that vanish at sub's pivot columns s:
+    sub is the identity at s, so each row v of sup is reduced there by
+    v - v[s] @ sub, and the results are eliminated once.
     """
-    reducers = list(zip(_pivots(sub), _rows(sub, p)[0]))
-    rows, n = _rows(sup, p)
-    for i, v in enumerate(rows):
-        for c, w in reducers:
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, w)]
-        rows[i] = v
-    del rows[len(_eliminate(rows, n, p)):]
-    return _matrix(rows, n)
+    return row_space(sup - sup[:, _pivots(sub)] @ sub, p)
 
 
 @dataclass(frozen=True)
@@ -550,7 +521,6 @@ def make_flag(ambient_dim: int, direction: str, spaces, p: int) -> FlagChain:
 def orthogonal_subspace(b, M, p: int) -> np.ndarray:
     """Orthogonal of M ⊆ U under the pairing b: V x U -> K, that is
     {v in V : b(v, M) = 0}."""
-    b = modp(b, p)
     if M.shape[1] != b.shape[1]:
         raise ValueError("dimension mismatch")
     if M.shape[0] == 0:
@@ -578,8 +548,7 @@ def read_flag(F: FlagChain, target: FlagChain, k: int, mu=None) -> FlagChain:
         raise ValueError(f"label {k} names an empty factor")
     spaces = F.spaces[:-1]
     if mu is not None:
-        mu_t = modp(mu, F.p).T
-        spaces = [S @ mu_t for S in spaces]
+        spaces = [S @ mu.T for S in spaces]
     spaces = tuple(map(fac.image_of, spaces)) + (_top_space(fac.dim, F.direction),)
     flag = FlagChain(F.direction, spaces, F.p)
     flag.check()

@@ -207,7 +207,7 @@ def _lift(flag: FlagChain, t: int, window: Factor, source, p: int):
     send to 0: an honest partner lift pairs to 0 with it, and mu moves it
     into the sub of the target factor.
     """
-    naive = modp(flag.factor(t).section @ window.section, p)
+    naive = flag.factor(t).section @ window.section
     return gfp.component_in(source, window.sub, naive, p)
 
 

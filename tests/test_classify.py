@@ -11,7 +11,7 @@ from charpforms import gfp
 from charpforms.classify import (
     ContactCandidate, ContactInvariant, FormatError, SymplecticCandidate,
     Type2Invariant,
-    _contact_matrices, _reeb_vector, admissible_contact_invariants,
+    _omega_matrix, _reeb_span, _reeb_vector, admissible_contact_invariants,
     admissible_type2_invariants, apply_to_candidate, constant_bivector,
     contact_split, equivalent, invariants, is_contact, is_symplectic,
     normal_shape, random_form, recognize, same_Gprime_orbit,
@@ -96,7 +96,8 @@ def _contact_matrices_by_columns(cand):
 def test_contact_split_matches_per_column_build(p, heights, seed):
     cand = random_form("contact", FlagSpec(p, heights), seed)
     ref_P, ref_Q = _contact_matrices_by_columns(cand)
-    _, rows_Q = _contact_matrices(cand, _reeb_vector(cand.form.d()))
+    rows_Q = _omega_matrix([cand.form.terms.get((j,), AlgebraElement.zero(cand.spec))
+                            for j in range(cand.spec.n)])
     assert np.array_equal(rows_Q, ref_Q)
     P, Q = contact_split(cand)
     assert np.array_equal(P, gfp.nullspace(ref_P, p))
@@ -173,8 +174,8 @@ SPLIT_KINDS = {"both": (True, True, 0, -1), "R0 only": (True, False, 0, None),
 def test_contact_split_closed_forms_match_elimination(kind, p, heights):
     """Each of the four unit patterns of (R_0, f_{n-1}) selects its own
     branch of `contact_split` (closed form or elimination, for P and for
-    Q); P and Q equal the row space and null space of the matrices of
-    `_contact_matrices`, values and dtype.  Besides the shape itself, its
+    Q); P and Q equal the row space of `_reeb_span` and the null space of
+    `_omega_matrix`, values and dtype.  Besides the shape itself, its
     image under a random G' automorphism times a unit in c + m^2 keeps the
     constant parts of d omega and omega up to the scalar c, so it keeps
     the pattern."""
@@ -189,11 +190,11 @@ def test_contact_split_closed_forms_match_elimination(kind, p, heights):
         random_in(rng, spec, "Gprime"), base).form.mul_function(unit))
     for cand in (base, moved):
         reeb = _reeb_vector(cand.form.d())
-        f_last = cand.form.terms.get((n - 1,), AlgebraElement.zero(spec))
+        f = [cand.form.terms.get((j,), AlgebraElement.zero(spec)) for j in range(n)]
         assert (reeb[0].constant_term() != 0) == R0_unit
-        assert (f_last.constant_term() != 0) == f_unit
-        span_P, rows_Q = _contact_matrices(cand, reeb)
-        ref_P, ref_Q = gfp.row_space(span_P, p), gfp.nullspace(rows_Q, p)
+        assert (f[-1].constant_term() != 0) == f_unit
+        ref_P = gfp.row_space(_reeb_span(reeb), p)
+        ref_Q = gfp.nullspace(_omega_matrix(f), p)
         P, Q = contact_split(cand)
         assert P.dtype == Q.dtype == ref_P.dtype == ref_Q.dtype == np.int64
         assert np.array_equal(P, ref_P)

@@ -56,6 +56,20 @@ def test_solve_and_inverse():
             assert np.array_equal(modp(A @ Ai, p), eye(4))
 
 
+@pytest.mark.parametrize("call, shape", [
+    (lambda: inverse([[1, 0]], 5), r"\(1, 2\)"),
+    (lambda: inverse([[1], [0]], 5), r"\(2, 1\)"),
+    (lambda: solve_rows([[1, 0, 0], [0, 1, 0]], [1, 0, 0, 2], 5), r"length 4 .*\(2, 3\)"),
+    (lambda: solve_rows([[1, 0, 0], [0, 1, 0]], [1, 0], 5), r"length 2 .*\(2, 3\)"),
+], ids=["inverse-wide", "inverse-tall", "solve-wider", "solve-narrower"])
+def test_mismatched_shapes_are_refused(call, shape):
+    """A non-square inverse and a vector of the wrong length for solve_rows
+    raise ValueError naming the shapes, instead of a wrong answer (a wide
+    inverse, extra entries dropped) or an IndexError."""
+    with pytest.raises(ValueError, match=shape):
+        call()
+
+
 @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0), (2, 3)])
 def test_random_matrix_shapes(m, n):
     """An empty random matrix keeps both dimensions, and draws nothing."""
@@ -269,11 +283,11 @@ def _preimage_oracle(M, S, p):
     return nullspace(modp(nullspace(S, p) @ M, p), p)
 
 
-def _subspaces(rng, n, p):
-    """The zero space, the whole space and the spans of 1 to n + 1 random
-    vectors, as rref matrices."""
+def _subspaces(rng, n, p, dims=None):
+    """The zero space, the whole space and the spans of k random vectors for
+    k in dims (by default 1 to n - 1) and for k = n + 1, as rref matrices."""
     out = [empty_space(n), full_space(n)]
-    for k in range(1, n):
+    for k in range(1, n) if dims is None else dims:
         out.append(row_space(gfp.random_matrix(rng, k, n, p), p))
     out.append(row_space(gfp.random_matrix(rng, n + 1, n, p), p))
     return out
@@ -287,12 +301,12 @@ def _random_flag(rng, n, direction, p):
     return make_flag(n, direction, spaces if direction == "inc" else spaces[::-1], p)
 
 
-def _factors(rng, n, p):
+def _factors(rng, n, p, dims=None):
     """sub ⊆ sup pairs, including zero factors (sub = sup) and the full one
     (0 ⊆ F_p^n)."""
     out = [(empty_space(n), full_space(n)), (full_space(n), full_space(n)),
            (empty_space(n), empty_space(n))]
-    for sup in _subspaces(rng, n, p):
+    for sup in _subspaces(rng, n, p, dims):
         sub = row_space(modp(gfp.random_matrix(rng, rng.randrange(4), sup.shape[0], p)
                              @ sup, p), p)
         out += [(sub, sup), (sup, sup)]
@@ -304,16 +318,18 @@ def test_block_elimination_ops_match_compositions(p):
     """subspace_intersection, subspace_leq, Factor.image_of, preimage_rows
     and the Q-coordinate flag of a contact pair equal the rref that the old
     compositions gave, on empty and full spaces, zero and full factors and
-    singular and rectangular maps."""
+    singular and rectangular maps.  At n = 12 and 17, with fewer subspaces,
+    the block eliminations pass SMALL_ENTRIES and take the int16 kernel."""
     rng = random.Random(100 + p)
-    for n in range(1, 6):
-        subs = _subspaces(rng, n, p)
+    for n in (1, 2, 3, 4, 5, 12, 17):
+        dims = None if n <= 5 else (n // 2, n - 2)
+        subs = _subspaces(rng, n, p, dims)
         for U in subs:
             for W in subs:
                 meet = _meet(U, W, p)
                 assert np.array_equal(subspace_intersection(U, W, p), meet)
                 assert subspace_leq(U, W, p) == np.array_equal(meet, U)
-        for fac in _factors(rng, n, p):
+        for fac in _factors(rng, n, p, dims):
             assert np.array_equal(fac.section, quotient_section(fac.sub, fac.sup, p))
             for S in subs:
                 img = fac.image_of(S)
